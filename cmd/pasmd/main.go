@@ -244,7 +244,7 @@ func run() int {
 		"parallel", *parallel, "sched", string(schedMode), "cache_entries", *cacheEntries,
 		"trace_sample", *traceSample, "code", experiments.CodeVersion)
 
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: service.ReadHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -71,6 +71,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/faults"
+	"repro/internal/service"
 	"repro/internal/telemetry"
 )
 
@@ -198,7 +199,7 @@ func run() int {
 	gw.Start()
 	defer gw.Stop()
 
-	srv := &http.Server{Handler: gw.Handler()}
+	srv := &http.Server{Handler: gw.Handler(), ReadHeaderTimeout: service.ReadHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

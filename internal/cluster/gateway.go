@@ -419,9 +419,9 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req service.SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxSubmitBytes)).Decode(&req); err != nil {
 		outcome = "bad_request"
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad submit body: " + err.Error()})
+		writeJSON(w, service.SubmitBodyStatus(err), errorBody{Error: "bad submit body: " + err.Error()})
 		return
 	}
 	key, err := req.Spec.Key()

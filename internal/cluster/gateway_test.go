@@ -635,3 +635,64 @@ func TestGatewayPartitionPassthrough(t *testing.T) {
 		t.Error("oversize spec succeeded on a 32-PE machine")
 	}
 }
+
+// TestGatewaySubmitBodyBound: the gateway refuses a submit body past
+// service.MaxSubmitBytes with a JSON 413 before routing it anywhere,
+// and a body of exactly the limit routes normally and serves the
+// standalone replica's bytes.
+func TestGatewaySubmitBodyBound(t *testing.T) {
+	s0, r0 := startReplica(t, "a")
+	_, gsrv := startGateway(t, Config{Registry: RegistryConfig{
+		Replicas: []string{"a=" + r0.URL},
+	}})
+	padded := func(size int) []byte {
+		body, err := json.Marshal(service.SubmitRequest{Spec: specN(21), WaitMS: 10000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pad := bytes.Repeat([]byte(" "), size-len(body))
+		return append(append(body[:len(body)-1:len(body)-1], pad...), '}')
+	}
+
+	resp, err := http.Post(gsrv.URL+"/v1/jobs", "application/json", bytes.NewReader(padded(service.MaxSubmitBytes+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	decErr := json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" || decErr != nil || eb.Error == "" {
+		t.Errorf("oversized body: want a JSON error, got Content-Type %q, decode err %v, body %+v", ct, decErr, eb)
+	}
+	if n := len(s0.Jobs()); n != 0 {
+		t.Errorf("oversized body reached the replica: %d jobs", n)
+	}
+
+	resp, err = http.Post(gsrv.URL+"/v1/jobs", "application/json", bytes.NewReader(padded(service.MaxSubmitBytes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st service.JobStatus
+	decErr = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || decErr != nil || st.State != service.StateDone {
+		t.Fatalf("body at the limit: status %d, state %s, decode err %v", resp.StatusCode, st.State, decErr)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	raw, err := client.New(gsrv.URL).Result(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, solo := startReplica(t, "solo")
+	soloRaw, _, err := client.New(solo.URL).Run(ctx, specN(21), client.SubmitOptions{Wait: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, soloRaw) {
+		t.Fatal("body at the limit: gateway result differs from a standalone run")
+	}
+}

@@ -1,6 +1,7 @@
 package m68k
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -240,5 +241,156 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		if _, err := Decode(words); err == nil {
 			t.Errorf("decoded garbage %04X", words)
 		}
+	}
+}
+
+// edgeWalk is a pointer walk whose loop body lowers to runLoop's
+// generic micro-ops: a load, a store, a read-modify-write and a clear
+// through four post-increment pointers. %s are the pointers' start
+// addresses.
+const edgeWalk = `
+	movea.l #%d, a0
+	movea.l #%d, a1
+	movea.l #%d, a2
+	movea.l #%d, a3
+	move.w  #%d, d1
+walk:	move.w  (a0)+, d0
+	add.w   d1, d0
+	move.w  d0, (a1)+
+	add.w   d0, (a2)+
+	clr.w   (a3)+
+	addq.w  #1, d2
+	dbra    d1, walk
+	halt
+`
+
+// edgeKernel is the element-kernel shape runKernelLoop executes, with
+// a muls chain.
+const edgeKernel = `
+	movea.l #%d, a0
+	movea.l #%d, a1
+	moveq   #3, d2
+	move.w  #%d, d7
+k:	move.w  (a0)+, d0
+	mulu.w  d2, d0
+	add.w   d0, (a1)+
+	mulu.w  d2, d3
+	mulu.w  d2, d3
+	dbra    d7, k
+	halt
+`
+
+// TestSuperTierAcrossBackingEdge: the superinstruction fast loops read
+// memory's touched backing directly and must bail, not fault or write
+// into a stale slice, when a walk runs past it. Each program starts
+// its pointers inside the host-loaded backing (or with none at all)
+// and walks across several growth edges; every tier, and the super
+// tier in small budget slices, must match the reference Step path
+// (DisableExecTable) in registers, flags, clock, regions, instruction
+// count and every byte of memory.
+func TestSuperTierAcrossBackingEdge(t *testing.T) {
+	const size = 1 << 16
+	const iters = 0x1400 // 10 KiB per pointer: crosses the 4, 8 and 16 KiB edges
+	cases := []struct {
+		name    string
+		src     string
+		preload uint32 // host-written words start here (0 = no preload)
+		kern    bool
+	}{
+		{"walk-load-leads", fmt.Sprintf(edgeWalk, 0x0F00, 0x0800, 0x0600, 0x0400, iters-1), 0x0400, false},
+		{"walk-store-leads", fmt.Sprintf(edgeWalk, 0x0400, 0x0FF0, 0x0600, 0x0800, iters-1), 0x0400, false},
+		{"walk-rmw-leads", fmt.Sprintf(edgeWalk, 0x0400, 0x0600, 0x0FFE, 0x0800, iters-1), 0x0400, false},
+		{"walk-clr-leads", fmt.Sprintf(edgeWalk, 0x0400, 0x0600, 0x0800, 0x0F80, iters-1), 0x0400, false},
+		{"walk-unbacked", fmt.Sprintf(edgeWalk, 0x0400, 0x0600, 0x0800, 0x0A00, iters-1), 0, false},
+		{"kernel-load-leads", fmt.Sprintf(edgeKernel, 0x0FF8, 0x0400, iters-1), 0x0400, true},
+		{"kernel-store-leads", fmt.Sprintf(edgeKernel, 0x0400, 0x0FFC, iters-1), 0x0400, true},
+		{"kernel-unbacked", fmt.Sprintf(edgeKernel, 0x0400, 0x0800, iters-1), 0, true},
+		{"stack-at-top", `
+	moveq   #5, d1
+	jsr     outer
+	halt
+outer:	move.w  d1, -(a7)
+	jsr     inner
+	move.w  (a7)+, d2
+	dbra    d1, outer
+	rts
+inner:	movea.l a7, a0
+	move.w  #15, d3
+fill:	move.w  d3, -(a0)
+	dbra    d3, fill
+	rts
+`, 0, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := MustAssemble(tc.src)
+			loop, kern := false, false
+			for _, op := range prog.super() {
+				loop = loop || op.loopEnd != 0
+				kern = kern || op.kern
+			}
+			if !loop || kern != tc.kern {
+				t.Fatalf("program lowers to loop=%v kernel=%v, want a runLoop/runKernelLoop block", loop, kern)
+			}
+			run := func(table, super bool, slice int64) *CPU {
+				c := NewCPU(prog, NewMemory(size))
+				c.Mem.WaitStates = 1
+				c.Mem.RefreshPeriod = 256
+				c.Mem.RefreshStall = 2
+				c.FetchFromMem = true
+				c.DisableExecTable = !table
+				c.DisableSuperinstructions = !super
+				c.A[7] = c.Mem.Size() - 4
+				if tc.preload != 0 {
+					words := make([]uint16, 64)
+					for i := range words {
+						words[i] = uint16(0x1111 * (i + 1))
+					}
+					if err := c.Mem.WriteWords(tc.preload, words); err != nil {
+						t.Fatal(err)
+					}
+				}
+				st := StatusOK
+				for st == StatusOK {
+					st = c.Run(slice)
+				}
+				if st != StatusHalted {
+					t.Fatalf("status %v (err=%v)", st, c.Err)
+				}
+				return c
+			}
+			ref := run(false, false, 1<<24)
+			if len(ref.Mem.data) <= minBacking {
+				t.Fatalf("backing stayed at %d bytes: the program never crossed an edge", len(ref.Mem.data))
+			}
+			for _, v := range []struct {
+				name         string
+				table, super bool
+				slice        int64
+			}{
+				{"table", true, false, 1 << 24},
+				{"super", true, true, 1 << 24},
+				{"super-sliced", true, true, 37},
+			} {
+				got := run(v.table, v.super, v.slice)
+				if got.Clock != ref.Clock || got.InstrCount != ref.InstrCount || got.Regions != ref.Regions {
+					t.Errorf("%s: clock/instrs/regions %d/%d/%v, reference %d/%d/%v",
+						v.name, got.Clock, got.InstrCount, got.Regions, ref.Clock, ref.InstrCount, ref.Regions)
+				}
+				if got.D != ref.D || got.A != ref.A || got.PC != ref.PC {
+					t.Errorf("%s: registers differ:\n%v %v\n%v %v", v.name, got.D, got.A, ref.D, ref.A)
+				}
+				if got.N != ref.N || got.Z != ref.Z || got.V != ref.V || got.C != ref.C || got.X != ref.X {
+					t.Errorf("%s: flags differ", v.name)
+				}
+				for a := uint32(0); a < size; a += 4 {
+					x, _ := got.Mem.Read(a, Long)
+					y, _ := ref.Mem.Read(a, Long)
+					if x != y {
+						t.Fatalf("%s: memory differs at $%X: %08X vs %08X", v.name, a, x, y)
+					}
+				}
+			}
+		})
 	}
 }

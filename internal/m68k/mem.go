@@ -18,8 +18,20 @@ const DeviceBase uint32 = 0x00F00000
 // paper, Section 3). Refresh is modeled deterministically: at most one
 // stall of RefreshStall cycles is charged per RefreshPeriod of
 // simulated time, and only when an access actually collides with it.
+//
+// The configured size is the memory's logical size: it bounds every
+// access (BoundsError) and is what Size reports. Only the prefix
+// [0, len(data)) is backed by host bytes; everything above it has
+// never been touched and reads as zero. The first access past the
+// backing, read or write, grows it to cover the access (see grow), so
+// a PE that touches a few KiB of a 1 MiB memory costs a few KiB.
+// Growth replaces data, so code that holds the slice directly (the
+// superinstruction fast loops) must not let anything grow the memory
+// while it holds it: such code bounds-checks against len(data) and
+// leaves every access past the backing to Read/Write.
 type Memory struct {
-	data []byte
+	data []byte // backing for [0, len(data)); addresses above read zero
+	size uint32 // logical size in bytes
 
 	// WaitStates is charged once per bus access (a word or byte
 	// transfer; longs are two accesses).
@@ -37,19 +49,34 @@ type Memory struct {
 // states and no refresh (static-RAM behaviour); callers configure the
 // DRAM penalties explicitly.
 func NewMemory(size uint32) *Memory {
-	return &Memory{data: make([]byte, size)}
+	return &Memory{size: size}
 }
 
-// Size returns the memory size in bytes.
-func (m *Memory) Size() uint32 { return uint32(len(m.data)) }
+// Size returns the memory's logical size in bytes.
+func (m *Memory) Size() uint32 { return m.size }
 
 // Reset zeroes the contents and the refresh phase but keeps the
-// timing configuration.
+// timing configuration. Only the backed prefix holds non-zero bytes,
+// so that is all it clears; the backing is kept for reuse.
 func (m *Memory) Reset() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
+	clear(m.data)
 	m.nextRefresh = 0
+}
+
+// minBacking is the smallest backing a first touch allocates.
+const minBacking = 4 << 10
+
+// grow extends the backing to cover [0, end): it at least doubles (to
+// no less than minBacking) so a walk past the edge reallocates
+// O(log size) times, and never exceeds the logical size.
+func (m *Memory) grow(end uint32) {
+	n := max(2*uint64(len(m.data)), minBacking)
+	for n < uint64(end) {
+		n *= 2
+	}
+	data := make([]byte, min(n, uint64(m.size)))
+	copy(data, m.data)
+	m.data = data
 }
 
 // Penalty returns the wait-state plus refresh cycles for `accesses`
@@ -102,12 +129,18 @@ func (e *BoundsError) Error() string {
 	return fmt.Sprintf("m68k: bus error: %s access at $%X beyond memory", e.Size, e.Addr)
 }
 
+// check validates an access against the logical size and, when it is
+// legal but reaches past the backing, grows the backing to cover it.
 func (m *Memory) check(addr uint32, sz Size) error {
 	if sz != Byte && addr&1 != 0 {
 		return &AddressError{Addr: addr, Size: sz}
 	}
-	if addr+sz.Bytes() > uint32(len(m.data)) || addr+sz.Bytes() < addr {
+	end := addr + sz.Bytes()
+	if end > m.size || end < addr {
 		return &BoundsError{Addr: addr, Size: sz}
+	}
+	if end > uint32(len(m.data)) {
+		m.grow(end)
 	}
 	return nil
 }

@@ -1036,6 +1036,13 @@ func memStore(data []byte, addr uint32, sz Size, val uint32) {
 // the reference path would have executed it. The return value is the
 // number of instructions executed (0 = immediate bail: the caller must
 // dispatch c.PC itself to guarantee progress).
+//
+// runLoop (like runKernelLoop) holds mem.data, the memory's touched
+// backing, for the whole call, so nothing inside it may grow the
+// memory: an address past len(data) fails memOK and bails like a
+// device address, and the reference path that re-dispatches it does
+// the growing. The default arm's execSuperOp call is safe only
+// because every kind it handles is register-only.
 func (c *CPU) runLoop(sup []superOp, start, end int, budget int64) int64 {
 	mem := c.Mem
 	data := mem.data
@@ -1379,9 +1386,9 @@ loop:
 // computed once, outside the loop.
 //
 // An iteration runs only when both memory operands pre-check clean
-// (non-device, aligned, in bounds) and the budget covers the full
-// iteration; otherwise the executor flushes with c.PC still at the
-// block start and the caller's generic paths (runLoop, then
+// (non-device, aligned, inside the touched backing) and the budget
+// covers the full iteration; otherwise the executor flushes with c.PC
+// still at the block start and the caller's generic paths (runLoop, then
 // per-instruction dispatch) take over, so every bail, fault and
 // partial-budget case goes through the reference machinery. Cycle
 // arithmetic is member-by-member in program order, identical to

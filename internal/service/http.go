@@ -87,6 +87,26 @@ const FillCodeHeader = "X-Pasm-Fill-Code"
 // that produced the document. Gateways forward it with peer fills.
 const CodeHeader = "X-Pasm-Code"
 
+// MaxSubmitBytes bounds one submit request body, at pasmd and at the
+// pasmgw gateway alike. A spec encodes in a few hundred bytes, so the
+// bound only turns away runaway or hostile clients, with a JSON 413.
+const MaxSubmitBytes = 1 << 20
+
+// ReadHeaderTimeout bounds how long the pasmd and pasmgw servers wait
+// for a request's headers, so an idle or trickling connection cannot
+// hold a server goroutine forever.
+const ReadHeaderTimeout = 10 * time.Second
+
+// SubmitBodyStatus maps a submit-body decode error to its HTTP status:
+// 413 when the body ran past MaxSubmitBytes, 400 otherwise.
+func SubmitBodyStatus(err error) int {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 // FillPath is the internal peer-fill endpoint (cluster gateways only;
 // it is not part of the public /v1 job API).
 const FillPath = "/internal/v1/fill"
@@ -198,10 +218,10 @@ func retryAfterSeconds(d time.Duration) string {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		writeJSON(w, SubmitBodyStatus(err), errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
 	if req.DeadlineMS == 0 {

@@ -302,3 +302,73 @@ func TestFillEndpointSecurity(t *testing.T) {
 		t.Errorf("peer_fill_rejects = %v, want >= 4", m["service/peer_fill_rejects"])
 	}
 }
+
+// paddedSubmit encodes req as a submit body of exactly size bytes:
+// the JSON object with insignificant whitespace before its closing
+// brace.
+func paddedSubmit(t *testing.T, req SubmitRequest, size int) []byte {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > size {
+		t.Fatalf("request encodes in %d bytes, more than %d", len(body), size)
+	}
+	pad := bytes.Repeat([]byte(" "), size-len(body))
+	return append(append(body[:len(body)-1:len(body)-1], pad...), '}')
+}
+
+// TestHTTPSubmitBodyBound: a submit body past MaxSubmitBytes gets a
+// JSON 413 without being run, while a body of exactly the limit is
+// accepted and serves the same bytes as a local run.
+func TestHTTPSubmitBodyBound(t *testing.T) {
+	opts := experiments.DefaultOptions()
+	s := New(Config{Workers: 1, QueueDepth: 4, Options: opts})
+	defer s.Shutdown(context.Background())
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	spec := experiments.Spec{Exps: []string{"table1"}, Seed: 7}
+	req := SubmitRequest{Spec: spec, WaitMS: 30000}
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
+		bytes.NewReader(paddedSubmit(t, req, MaxSubmitBytes+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	decErr := json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" || decErr != nil || eb.Error == "" {
+		t.Errorf("oversized body: want a JSON error, got Content-Type %q, decode err %v, body %+v", ct, decErr, eb)
+	}
+	if n := len(s.Jobs()); n != 0 {
+		t.Errorf("oversized body created %d jobs", n)
+	}
+
+	local, err := experiments.RunSpec(spec, experiments.RunConfig{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := local.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(srv.URL+"/v1/jobs", "application/json",
+		bytes.NewReader(paddedSubmit(t, req, MaxSubmitBytes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	decErr = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || decErr != nil || st.State != StateDone {
+		t.Fatalf("body at the limit: status %d, state %s, decode err %v", resp.StatusCode, st.State, decErr)
+	}
+	if _, got := getBody(t, srv.URL+"/v1/jobs/"+st.ID+"/result"); !bytes.Equal(got, want) {
+		t.Errorf("body at the limit: served bytes differ from the local report")
+	}
+}
