@@ -159,6 +159,102 @@ func (q *Queue) Consume(words int, t int64) error {
 	return nil
 }
 
+// LockstepRun streams n identical SIMD instructions of `words` words
+// each through the queue, as the PASM lockstep executor does for every
+// broadcast instruction (n = 1) and every fused run of identical
+// MULUs: each member is enqueued at issue, released at the later of
+// its ready time and its request time, and consumed at that release
+// (what the PEs then execute never touches the queue). The
+// first member's request time is firstReq; each later member's is the
+// previous release plus step (the group's per-member cost: the slowest
+// PE requests again step cycles after a release). A negative firstReq
+// means no PE requests, and every member releases when ready. It
+// returns the last release and starve, the cycles requests waited for
+// words still being enqueued, and leaves the queue exactly as the n
+// Enqueue+Consume pairs would.
+//
+// The executor consumes each instruction before enqueuing the next, so
+// on entry no word is pending and the enqueue and consume slots
+// coincide: the slot each word reuses is the one its own consume then
+// overwrites. The replay therefore walks one slot index. Words pending
+// on entry, an empty run and an entry that cannot fit are errors.
+// Observer hooks see each member's enqueue and consume with the
+// arguments Enqueue and Consume pass; the queue's own fields are
+// written back once, after the last member.
+func (q *Queue) LockstepRun(issue int64, words, n int, firstReq, step int64) (release, starve int64, err error) {
+	switch {
+	case n < 1:
+		return 0, 0, fmt.Errorf("fetchunit: lockstep run of %d instructions", n)
+	case words < 1 || words > q.depth:
+		return 0, 0, fmt.Errorf("fetchunit: lockstep entry of %d words in a queue of depth %d", words, q.depth)
+	case q.Pending() != 0:
+		return 0, 0, fmt.Errorf("fetchunit: lockstep run with %d words pending (executor ordering bug)", q.Pending())
+	}
+	t := q.ctrlFree
+	w := q.enqueuedWord
+	slot := q.enqSlot
+	depth := int64(q.depth)
+	req := firstReq
+	for i := 0; i < n; i++ {
+		if issue > t {
+			t = issue
+		}
+		s := slot
+		for j := 0; j < words; j++ {
+			if w >= depth {
+				if f := q.freeAt[s]; f > t {
+					q.FullStalls++
+					q.StallCycles += f - t
+					t = f
+				}
+			}
+			t += q.wordCycles
+			w++
+			if s++; s == q.depth {
+				s = 0
+			}
+		}
+		if q.OnEnqueue != nil {
+			q.OnEnqueue(issue, t, words, words)
+		}
+		release = releaseAt(t, req, &starve)
+		for j := 0; j < words; j++ {
+			q.freeAt[slot] = release
+			if slot++; slot == q.depth {
+				slot = 0
+			}
+		}
+		if q.OnConsume != nil {
+			q.OnConsume(release, words, 0)
+		}
+		if firstReq >= 0 {
+			req = release + step
+		}
+	}
+	q.ctrlFree = t
+	q.enqueuedWord, q.consumedWord = w, w
+	q.enqSlot, q.consSlot = slot, slot
+	if words > q.MaxOccupancy {
+		q.MaxOccupancy = words
+	}
+	return release, starve, nil
+}
+
+// releaseAt is the lockstep release rule for one instruction: it
+// leaves the queue at the later of its ready time and the group's
+// latest request (req < 0: no PE requests). When the requests came
+// first, the PEs starved until the words were in the queue; that wait
+// is added to *starve.
+func releaseAt(ready, req int64, starve *int64) int64 {
+	if req > ready {
+		return req
+	}
+	if req >= 0 {
+		*starve += ready - req
+	}
+	return ready
+}
+
 // Pending returns the words currently in flight (enqueued, not yet
 // consumed).
 func (q *Queue) Pending() int { return int(q.enqueuedWord - q.consumedWord) }

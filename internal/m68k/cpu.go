@@ -131,7 +131,7 @@ type CPU struct {
 	// tab is the program's execution table, cached on first Step.
 	tab []execEntry
 	// sup is the program's superinstruction table, cached on first
-	// runSuper/ExecSuperAt.
+	// runSuper/ExecLockstep.
 	sup []superOp
 }
 
@@ -211,30 +211,67 @@ func (c *CPU) ExecBroadcast(in *Instr) Status {
 	return c.exec(in, 0)
 }
 
-// ExecBroadcastAt is ExecBroadcast through the execution-table fast
-// path: idx is the instruction's index in the program, so its
-// pre-resolved dispatch function and static cycle cost are used
-// directly. The PASM lockstep executor calls this in its inner loop.
-func (c *CPU) ExecBroadcastAt(idx int) Status {
-	if !c.DisableExecTable && !c.DisableSuperinstructions {
-		return c.ExecSuperAt(idx)
+// ExecLockstep executes broadcast instruction idx, released by the
+// Fetch Unit at release, on each CPU of cpus in order: one PASM SIMD
+// group's lockstep step. Every CPU must run the same Program with the
+// same tier knobs; the tier is chosen once, from cpus[0]. Each CPU
+// first waits for the release (the gap from its request clock is
+// charged to the instruction's region), then executes the instruction
+// with no fetch penalty (the queue is static RAM) and its own PC as the
+// trace PC; a halted CPU only waits. The step stops at the first CPU
+// that neither completes nor is halted and returns its status and
+// position k; cpus[k+1:] have not waited or executed yet, so the caller
+// records that CPU and resumes after it. maxClock is the latest clock
+// among the CPUs stepped (-1 for none): with StatusOK, the group's
+// next request time.
+func ExecLockstep(cpus []*CPU, idx int, release int64) (maxClock int64, st Status, k int) {
+	maxClock = -1
+	if len(cpus) == 0 {
+		return maxClock, StatusOK, 0
 	}
-	if c.Halted {
-		return StatusHalted
+	c0 := cpus[0]
+	in := &c0.Prog.Instrs[idx]
+	var op *superOp
+	var e *execEntry
+	switch {
+	case c0.DisableExecTable:
+	case c0.DisableSuperinstructions:
+		if c0.tab == nil {
+			c0.tab = c0.Prog.table()
+		}
+		e = &c0.tab[idx]
+	default:
+		if c0.sup == nil {
+			c0.sup = c0.Prog.super()
+		}
+		op = &c0.sup[idx]
 	}
-	if c.Err != nil {
-		return StatusError
+	for k, c := range cpus {
+		if wait := release - c.Clock; wait > 0 {
+			c.Regions[in.Region] += wait
+			c.Clock = release
+		}
+		switch {
+		case c.Halted:
+			st = StatusOK
+		case c.Err != nil:
+			st = StatusError
+		case op != nil:
+			st = c.execSuperOp(op, c.PC, 0, c.PC+1)
+		case e != nil:
+			c.lastLoadWasDev = false
+			st = e.fn(c, in, e.base, 0, c.PC+1)
+		default:
+			st = c.exec(in, 0)
+		}
+		if st != StatusOK {
+			return maxClock, st, k
+		}
+		if c.Clock > maxClock {
+			maxClock = c.Clock
+		}
 	}
-	in := &c.Prog.Instrs[idx]
-	if c.DisableExecTable {
-		return c.exec(in, 0)
-	}
-	if c.tab == nil {
-		c.tab = c.Prog.table()
-	}
-	e := &c.tab[idx]
-	c.lastLoadWasDev = false
-	return e.fn(c, in, e.base, 0, c.PC+1)
+	return maxClock, StatusOK, len(cpus)
 }
 
 // Run executes up to maxSteps instructions, stopping early on any

@@ -3,7 +3,7 @@ package m68k
 // exec executes one instruction through the dynamic reference path:
 // the dispatch function and static cycle cost are recomputed from the
 // instruction instead of read from the program's execution table. The
-// table path in Step/ExecBroadcastAt caches exactly these two results,
+// table path in Step/ExecLockstep caches exactly these two results,
 // and the equivalence tests run both paths against each other.
 func (c *CPU) exec(in *Instr, fetchPenalty int64) Status {
 	c.lastLoadWasDev = false

@@ -21,7 +21,7 @@ package m68k
 // at compile time.
 //
 // The tier is driven from CPU.Run (and the PASM lockstep executor via
-// ExecSuperAt); CPU.Step is untouched. CPU.DisableSuperinstructions
+// ExecLockstep); CPU.Step is untouched. CPU.DisableSuperinstructions
 // forces Run back onto the per-Step path for A/B testing.
 
 // BasicBlock is one straight-line run found by the block scanner:
@@ -137,6 +137,7 @@ const (
 	skTstM          // TST <mem>
 	skMulu          // MULU Dn,Dn
 	skMuluRun       // first/interior op of a fused run of identical MULUs
+	skShiftI        // LSL/LSR #1..8, Dn
 	skDBcc          // DBcc Dn,label
 	skBcc           // Bcc label
 	skJmp           // JMP label
@@ -252,7 +253,7 @@ func loopKind(k uint8) bool {
 	switch k {
 	case skMoveRR, skMoveMR, skMoveRM, skMoveaR, skMoveq, skLea,
 		skClrD, skClrM, skAluRR, skAluMR, skAluM, skCmpR, skAddaR,
-		skQuickA, skTstD, skMulu, skMuluRun, skNop:
+		skQuickA, skTstD, skMulu, skMuluRun, skShiftI, skNop:
 		return true
 	}
 	return false
@@ -331,19 +332,49 @@ type MuluRun struct {
 	Region RegionID
 }
 
-// MuluRunAt reports the fused MULU run extending from instruction idx
+// BroadcastTable is the PASM SIMD executor's read-only view of a
+// program's superinstruction table. The executor fetches it once per
+// run, so its per-instruction block walk finds fused MULU runs with an
+// index and a kind test.
+type BroadcastTable struct{ sup []superOp }
+
+// BroadcastTable returns the program's table view, building the
+// superinstruction table on first use.
+func (p *Program) BroadcastTable() BroadcastTable { return BroadcastTable{p.super()} }
+
+// MuluRun reports the fused MULU run extending from instruction idx
 // (Len counts members from idx to the run's end). ok is false when
 // idx is not part of a fused run.
-func (p *Program) MuluRunAt(idx int) (MuluRun, bool) {
-	sup := p.super()
-	if idx < 0 || idx >= len(sup) || sup[idx].kind != skMuluRun {
+func (t BroadcastTable) MuluRun(idx int) (MuluRun, bool) {
+	if uint(idx) >= uint(len(t.sup)) || t.sup[idx].kind != skMuluRun {
 		return MuluRun{}, false
 	}
-	op := &sup[idx]
+	op := &t.sup[idx]
 	return MuluRun{
 		Len: int(op.runLen), Src: op.mreg, Dst: op.reg,
 		Base: op.base, Words: int(op.words), Region: op.region,
 	}, true
+}
+
+// MuluRunProduct returns the destination register after n chained
+// `MULU src,d` instructions (d <- (d&0xFFFF)*(src&0xFFFF), n >= 1;
+// n <= 0 returns d). The low word after k members is d*s^k mod 2^16,
+// so the result is ((d&0xFFFF)*s^(n-1) mod 2^16)*s, with the power
+// taken by square-and-multiply: the same bits as the dependent chain
+// in O(log n) multiplies.
+func MuluRunProduct(d, src uint32, n int) uint32 {
+	if n <= 0 {
+		return d
+	}
+	s := src & 0xFFFF
+	pow, b := uint32(1), s
+	for e := n - 1; e > 0; e >>= 1 {
+		if e&1 != 0 {
+			pow = pow * b & 0xFFFF
+		}
+		b = b * b & 0xFFFF
+	}
+	return ((d & 0xFFFF) * pow & 0xFFFF) * s
 }
 
 // sameMulu reports whether b is another member of a's MULU run:
@@ -513,6 +544,12 @@ func compileOp(in *Instr, e *execEntry) superOp {
 			op.mreg = in.Src.Reg
 			op.reg = in.Dst.Reg
 		}
+	case LSL, LSR:
+		if in.Src.Mode == ModeImm && in.Src.Val >= 1 && in.Src.Val <= 8 && in.Dst.Mode == ModeDataReg {
+			op.kind = skShiftI
+			op.imm = uint32(in.Src.Val)
+			op.reg = in.Dst.Reg
+		}
 	case DBCC:
 		if in.Dst.Mode == ModeLabel {
 			op.kind = skDBcc
@@ -531,6 +568,32 @@ func compileOp(in *Instr, e *execEntry) superOp {
 		}
 	}
 	return op
+}
+
+// aluSet is aluOp followed by applyFlags for operands already masked
+// to size, with the ADD and SUB forms (the workloads' accumulates and
+// counters) computed in place. It returns the unmasked result.
+func (c *CPU) aluSet(op Op, old, src uint32, sz Size) uint32 {
+	sb := signBit(sz)
+	switch op {
+	case ADD, ADDI, ADDQ:
+		r := old + src
+		rm := mask(r, sz)
+		c.N, c.Z, c.C = rm&sb != 0, rm == 0, rm < old
+		c.V = (old&sb == src&sb) && (rm&sb != old&sb)
+		c.X = c.C
+		return r
+	case SUB, SUBI, SUBQ:
+		r := old - src
+		rm := mask(r, sz)
+		c.N, c.Z, c.C = rm&sb != 0, rm == 0, src > old
+		c.V = (old&sb != src&sb) && (rm&sb == src&sb)
+		c.X = c.C
+		return r
+	}
+	r, f := aluOp(op, old, src, sz)
+	c.applyFlags(f)
+	return r
 }
 
 // superAddr resolves a micro-op's pre-decoded memory operand to an
@@ -704,9 +767,7 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 	case skAluRR:
 		src := c.superSrc(op, op.mreg)
 		old := mask(c.D[op.reg], op.size)
-		r, f := aluOp(op.op8, old, src, op.size)
-		c.D[op.reg] = merge(c.D[op.reg], r, op.size)
-		c.applyFlags(f)
+		c.D[op.reg] = merge(c.D[op.reg], c.aluSet(op.op8, old, src, op.size), op.size)
 		return c.scommit(op, pc, cycles, next)
 
 	case skAluMR:
@@ -723,9 +784,7 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			c.MemWatch(addr, op.size, src, false)
 		}
 		old := mask(c.D[op.reg], op.size)
-		r, f := aluOp(op.op8, old, src, op.size)
-		c.D[op.reg] = merge(c.D[op.reg], r, op.size)
-		c.applyFlags(f)
+		c.D[op.reg] = merge(c.D[op.reg], c.aluSet(op.op8, old, src, op.size), op.size)
 		c.superIncDec(op)
 		return c.scommit(op, pc, cycles, next)
 
@@ -739,16 +798,14 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 		if err != nil {
 			return c.sfallback(op, fetch, next)
 		}
-		r, f := aluOp(op.op8, old, src, op.size)
-		if err := c.Mem.Write(addr, op.size, mask(r, op.size)); err != nil {
-			return c.sfallback(op, fetch, next)
-		}
+		rm := mask(c.aluSet(op.op8, old, src, op.size), op.size)
+		// Read has checked (and backed) this access: the write cannot fail.
+		_ = c.Mem.Write(addr, op.size, rm)
 		cycles += c.Mem.Penalty(c.Clock, 2*op.acc)
 		if c.MemWatch != nil {
 			c.MemWatch(addr, op.size, old, false)
-			c.MemWatch(addr, op.size, mask(r, op.size), true)
+			c.MemWatch(addr, op.size, rm, true)
 		}
-		c.applyFlags(f)
 		c.superIncDec(op)
 		return c.scommit(op, pc, cycles, next)
 
@@ -853,6 +910,24 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 		c.N, c.Z, c.V, c.C = r&0x80000000 != 0, r == 0, false, false
 		return c.scommit(op, pc, cycles, next)
 
+	case skShiftI:
+		// Closed form of shift's bit loop: C and X take the last bit
+		// shifted out, V stays clear (only ASL sets it), N and Z come
+		// from the result. The static base already holds the 2n count
+		// time of an immediate count.
+		v := mask(c.D[op.reg], op.size)
+		var r, out uint32
+		if op.op8 == LSL {
+			out = v >> (op.size.Bytes()*8 - op.imm) & 1
+			r = mask(v<<op.imm, op.size)
+		} else {
+			out = v >> (op.imm - 1) & 1
+			r = v >> op.imm
+		}
+		c.D[op.reg] = merge(c.D[op.reg], r, op.size)
+		c.N, c.Z, c.V, c.C, c.X = r&signBit(op.size) != 0, r == 0, false, out != 0, out != 0
+		return c.scommit(op, pc, cycles, next)
+
 	case skDBcc:
 		// Variant times rebuilt from the fetch penalty, mirroring
 		// execDBcc (the static base is ignored).
@@ -935,9 +1010,7 @@ func (c *CPU) runSuper(maxSteps int64) Status {
 					d = (d & 0xFFFF) * src
 				}
 			} else {
-				for i := int64(0); i < n; i++ {
-					d = (d & 0xFFFF) * src
-				}
+				d = MuluRunProduct(d, src, int(n))
 				clock += per * n
 			}
 			c.Regions[op.region] += clock - c.Clock
@@ -1118,9 +1191,7 @@ loop:
 					d = (d & 0xFFFF) * src
 				}
 			} else {
-				for i := int64(0); i < n; i++ {
-					d = (d & 0xFFFF) * src
-				}
+				d = MuluRunProduct(d, src, int(n))
 				clock += per * n
 			}
 			c.Regions[op.region] += clock - before
@@ -1239,9 +1310,7 @@ loop:
 			}
 			src := memLoad(data, addr, op.size)
 			old := mask(c.D[op.reg], op.size)
-			r, f := aluOp(op.op8, old, src, op.size)
-			c.D[op.reg] = merge(c.D[op.reg], r, op.size)
-			c.applyFlags(f)
+			c.D[op.reg] = merge(c.D[op.reg], c.aluSet(op.op8, old, src, op.size), op.size)
 			c.superIncDec(op)
 
 		case skAluM:
@@ -1259,28 +1328,7 @@ loop:
 				}
 			}
 			old := memLoad(data, addr, op.size)
-			var rm uint32
-			sb := signBit(op.size)
-			switch op.op8 {
-			case ADD, ADDI, ADDQ:
-				// aluOp+addFlags inlined (operands arrive masked).
-				rm = mask(old+src, op.size)
-				c.N, c.Z = rm&sb != 0, rm == 0
-				c.V = (old&sb == src&sb) && (rm&sb != old&sb)
-				c.C = uint64(old)+uint64(src) > uint64(mask(^uint32(0), op.size))
-				c.X = c.C
-			case SUB, SUBI, SUBQ:
-				rm = mask(old-src, op.size)
-				c.N, c.Z = rm&sb != 0, rm == 0
-				c.V = (old&sb != src&sb) && (rm&sb == src&sb)
-				c.C = src > old
-				c.X = c.C
-			default:
-				r, f := aluOp(op.op8, old, src, op.size)
-				rm = mask(r, op.size)
-				c.applyFlags(f)
-			}
-			memStore(data, addr, op.size, rm)
+			memStore(data, addr, op.size, mask(c.aluSet(op.op8, old, src, op.size), op.size))
 			cyc = op.base + fetch + ws*2*op.acc
 			if rp > 0 && clock >= nref {
 				cyc += rs
@@ -1314,29 +1362,7 @@ loop:
 			cyc = op.base + fetch
 			src := c.superSrc(op, op.mreg)
 			old := mask(c.D[op.reg], op.size)
-			var r uint32
-			sb := signBit(op.size)
-			switch op.op8 {
-			case ADD, ADDI, ADDQ:
-				r = old + src
-				rm := mask(r, op.size)
-				c.N, c.Z = rm&sb != 0, rm == 0
-				c.V = (old&sb == src&sb) && (rm&sb != old&sb)
-				c.C = uint64(old)+uint64(src) > uint64(mask(^uint32(0), op.size))
-				c.X = c.C
-			case SUB, SUBI, SUBQ:
-				r = old - src
-				rm := mask(r, op.size)
-				c.N, c.Z = rm&sb != 0, rm == 0
-				c.V = (old&sb != src&sb) && (rm&sb == src&sb)
-				c.C = src > old
-				c.X = c.C
-			default:
-				var f flags
-				r, f = aluOp(op.op8, old, src, op.size)
-				c.applyFlags(f)
-			}
-			c.D[op.reg] = merge(c.D[op.reg], r, op.size)
+			c.D[op.reg] = merge(c.D[op.reg], c.aluSet(op.op8, old, src, op.size), op.size)
 
 		default:
 			// The remaining whitelisted kinds are register-only and
@@ -1541,23 +1567,4 @@ func (c *CPU) runKernelLoop(sup []superOp, start, end int, budget int64) int64 {
 		c.PC = start
 	}
 	return steps
-}
-
-// ExecSuperAt is ExecBroadcastAt through the superinstruction tier:
-// one broadcast-delivered instruction, no fetch penalty, the PASM
-// lockstep executor's fast path. Fused MULU runs execute a single
-// member (broadcast instructions are released one at a time).
-func (c *CPU) ExecSuperAt(idx int) Status {
-	if c.Halted {
-		return StatusHalted
-	}
-	if c.Err != nil {
-		return StatusError
-	}
-	if c.sup == nil {
-		c.sup = c.Prog.super()
-	}
-	// Trace callbacks carry the PE's own PC (which counts broadcasts),
-	// exactly as the reference broadcast path's commit does.
-	return c.execSuperOp(&c.sup[idx], c.PC, 0, c.PC+1)
 }

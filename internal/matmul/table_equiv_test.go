@@ -51,6 +51,18 @@ func (tr tier) apply(cfg *pasm.Config) {
 // MIMD-section PEs on parallel host goroutines.
 func executeWith(t *testing.T, spec Spec, a, b Matrix, tr tier, workers int) (pasm.RunResult, Matrix, *obs.Recorder) {
 	t.Helper()
+	rec := obs.New(obs.Config{Events: obs.AllKinds, Metrics: true})
+	res, c := executeCfg(t, spec, a, b, tr, func(cfg *pasm.Config) {
+		cfg.HostWorkers = workers
+		cfg.Obs = rec
+	})
+	return res, c, rec
+}
+
+// executeCfg runs one spec end to end on the given interpreter tier,
+// with edit (if non-nil) applied to the machine configuration last.
+func executeCfg(t *testing.T, spec Spec, a, b Matrix, tr tier, edit func(*pasm.Config)) (pasm.RunResult, Matrix) {
+	t.Helper()
 	prog, l, err := Build(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -60,8 +72,9 @@ func executeWith(t *testing.T, spec Spec, a, b Matrix, tr tier, workers int) (pa
 		cfg.PEMemBytes = need
 	}
 	tr.apply(&cfg)
-	cfg.HostWorkers = workers
-	cfg.Obs = obs.New(obs.Config{Events: obs.AllKinds, Metrics: true})
+	if edit != nil {
+		edit(&cfg)
+	}
 	vm, err := pasm.NewVM(cfg, l.P)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +99,7 @@ func executeWith(t *testing.T, spec Spec, a, b Matrix, tr tier, workers int) (pa
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, c, cfg.Obs
+	return res, c
 }
 
 // diffObs requires two recorders to have captured the same simulated
@@ -157,6 +170,36 @@ func TestInterpreterTierEquivalenceAllPrograms(t *testing.T) {
 			if !Equal(c, cRef) {
 				t.Errorf("%s: result matrices differ", label)
 			}
+		}
+	}
+}
+
+// TestSIMDTierEquivalenceFusedShape runs SIMD matmul at the shape the
+// lockstep fast path is built for: 16 PEs in 4 MC groups, a muls chain
+// long enough to fuse into MULU runs, and a Fetch Unit queue so shallow
+// the controller stalls on a full queue. No recorder is attached, so
+// the super tier takes its fused-run replay (an attached recorder turns
+// it off). Run results, including the queue's stall and occupancy
+// counters and the PEs' starve cycles, and the product must match the
+// reference tier.
+func TestSIMDTierEquivalenceFusedShape(t *testing.T) {
+	const n, p = 16, 16
+	a := Random(n, 0xBEEF)
+	b := Random(n, 0xC0FFEE)
+	spec := Spec{N: n, P: p, Muls: 5, Mode: SIMD}
+	shallow := func(cfg *pasm.Config) { cfg.QueueDepthWords = 4 }
+	resRef, cRef := executeCfg(t, spec, a, b, tierReference, shallow)
+	if !Equal(cRef, Reference(a, b)) {
+		t.Fatal("reference result is wrong")
+	}
+	if resRef.QueueStallCycles == 0 {
+		t.Fatal("queue never filled: the shape does not exercise full-queue stalls")
+	}
+	for _, tr := range []tier{tierTable, tierSuper} {
+		res, c := executeCfg(t, spec, a, b, tr, shallow)
+		diffResults(t, "SIMD/fused/"+tr.String(), resRef, res)
+		if !Equal(c, cRef) {
+			t.Errorf("%s: result matrices differ", tr)
 		}
 	}
 }

@@ -1,9 +1,12 @@
 package pasm
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/m68k"
+	"repro/internal/obs"
 )
 
 // TestSIMDMasking exercises the Fetch Unit mask register: the MC
@@ -132,4 +135,141 @@ func TestSETMASKNotBroadcastable(t *testing.T) {
 	if _, err := vm.RunSIMD(prog); err == nil {
 		t.Error("SETMASK inside a block accepted")
 	}
+}
+
+// maskedRunsSrc streams fused MULU runs and immediate shifts while each
+// MC changes its group's mask from its own memory (so the four groups
+// run different PE subsets, one of them none at all).
+const maskedRunsSrc = `
+	bcast   init
+	move.w  $40, d1
+	setmask d1
+	moveq   #2, d0
+l1:	bcast   muls
+	dbra    d0, l1
+	setmask #0
+	bcast   muls
+	move.w  $42, d1
+	setmask d1
+	bcast   muls
+	setmask #15
+	bcast   store
+	halt
+	.block  init
+	move.w  $200, d2
+	move.w  $202, d3
+	moveq   #1, d4
+	.endblock
+	.block  muls
+	mulu.w  d2, d3
+	mulu.w  d2, d3
+	mulu.w  d2, d3
+	mulu.w  d2, d3
+	lsl.w   #3, d4
+	lsr.l   #1, d4
+	addq.w  #1, d4
+	mulu.w  d2, d4
+	.endblock
+	.block  store
+	move.l  d3, $100
+	move.l  d4, $104
+	.endblock
+`
+
+// runMaskedRuns runs maskedRunsSrc on 16 PEs (4 MC groups) with a
+// 4-word Fetch Unit queue on the given tier, with rec attached (nil:
+// detached), and returns the result and every PE's stored registers.
+func runMaskedRuns(t *testing.T, refTier, tableTier bool, rec *obs.Recorder) (RunResult, []uint32) {
+	t.Helper()
+	vm := newTestVM(t, 16, func(c *Config) {
+		c.QueueDepthWords = 4
+		c.DisableExecTable = refTier
+		c.DisableSuperinstructions = tableTier
+		c.Obs = rec
+	})
+	masks := [][]uint16{{0x5, 0xA}, {0xE, 0x1}, {0x0, 0xF}, {0xF, 0x6}}
+	for g, mc := range vm.MCs {
+		if err := mc.Mem.WriteWords(0x40, masks[g]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, pe := range vm.PEs {
+		mul := uint16(0x1111*(i%5)) ^ uint16(i*0x0301) | 1
+		if err := pe.Mem.WriteWords(0x200, []uint16{mul, uint16(3 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := vm.RunSIMD(m68k.MustAssemble(maskedRunsSrc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regs []uint32
+	for _, pe := range vm.PEs {
+		for _, addr := range []uint32{0x100, 0x104} {
+			v, err := pe.Mem.Read(addr, m68k.Long)
+			if err != nil {
+				t.Fatal(err)
+			}
+			regs = append(regs, v)
+		}
+	}
+	return res, regs
+}
+
+// TestSIMDMaskedRunsTierEquivalence: per-group masks that change
+// mid-program, fused MULU runs and a queue that fills must give the
+// same run result (regions, queue stalls and occupancy, starve
+// cycles), the same PE state and, with a recorder attached, the same
+// event stream and metrics on the reference, table and super tiers.
+// Detached, the super tier takes its fused-run replay over the masked
+// groups.
+func TestSIMDMaskedRunsTierEquivalence(t *testing.T) {
+	tiers := []struct {
+		name           string
+		ref, tableOnly bool
+	}{{"reference", true, false}, {"table", false, true}, {"super", false, false}}
+	for _, observed := range []bool{false, true} {
+		newRec := func() *obs.Recorder {
+			if !observed {
+				return nil
+			}
+			return obs.New(obs.Config{Events: obs.AllKinds, Metrics: true})
+		}
+		refRec := newRec()
+		refRes, refRegs := runMaskedRuns(t, true, false, refRec)
+		if refRes.QueueStallCycles == 0 {
+			t.Fatal("queue never filled")
+		}
+		if observed && !hasKind(refRec.Merged(), obs.KindLockstepWait) {
+			t.Fatal("no lockstep wait events recorded")
+		}
+		for _, tr := range tiers[1:] {
+			label := fmt.Sprintf("%s/observed=%v", tr.name, observed)
+			rec := newRec()
+			res, regs := runMaskedRuns(t, tr.ref, tr.tableOnly, rec)
+			if !reflect.DeepEqual(res, refRes) {
+				t.Errorf("%s: run results differ:\nreference: %+v\ngot:       %+v", label, refRes, res)
+			}
+			if !reflect.DeepEqual(regs, refRegs) {
+				t.Errorf("%s: PE registers differ:\nreference: %x\ngot:       %x", label, refRegs, regs)
+			}
+			if observed {
+				if re, ge := refRec.Merged(), rec.Merged(); !reflect.DeepEqual(re, ge) {
+					t.Errorf("%s: event streams differ (%d vs %d events)", label, len(re), len(ge))
+				}
+				if rm, gm := refRec.Metrics().Flatten(""), rec.Metrics().Flatten(""); !reflect.DeepEqual(rm, gm) {
+					t.Errorf("%s: metrics differ", label)
+				}
+			}
+		}
+	}
+}
+
+func hasKind(evs []obs.Event, k obs.Kind) bool {
+	for _, ev := range evs {
+		if ev.Kind == k {
+			return true
+		}
+	}
+	return false
 }

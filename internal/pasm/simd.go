@@ -34,11 +34,10 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 	vm.net.reset()
 	vm.bar = newBarrier(vm.P)
 
-	type group struct {
-		mc     *m68k.CPU
-		halted bool
-	}
-	groups := make([]group, vm.Q)
+	groups := make([]lockGroup, vm.Q)
+	// One backing array each for the groups' enabled-PE lists.
+	cpuBuf, idxBuf := make([]*m68k.CPU, vm.P), make([]int, vm.P)
+	off := 0
 	for g := range groups {
 		vm.MCs[g].Queue.Reset()
 		vm.MCs[g].Mask = fetchunit.AllEnabled(len(vm.MCs[g].PEs))
@@ -51,6 +50,9 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 			vm.TraceHook(fmt.Sprintf("MC%d", g), mc)
 		}
 		groups[g].mc = mc
+		end := off + len(vm.MCs[g].PEs)
+		groups[g].cpus, groups[g].pes = cpuBuf[off:off:end], idxBuf[off:off:end]
+		off = end
 	}
 	pes := make([]*m68k.CPU, vm.P)
 	for i, pe := range vm.PEs {
@@ -72,32 +74,39 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 		mcUnits[g] = vm.wireObsMC(g, groups[g].mc)
 	}
 
-	// The batch fast path below replays a fused MULU run through the
-	// lockstep queue with O(1) arithmetic per instruction; it engages
-	// only when the superinstruction tier is active and nothing is
-	// observing individual instructions.
+	// Fused MULU runs replay through the lockstep queue with closed-form
+	// arithmetic (lockstepMuluRun). They engage only when the
+	// superinstruction tier is active, nothing observes individual
+	// instructions, and every group's enabled PEs are live and untraced
+	// (fusable, recomputed whenever a group's PE set or state changes).
 	batchTier := !vm.Cfg.DisableExecTable && !vm.Cfg.DisableSuperinstructions && vm.Obs == nil
-	batchCost := make([]int64, vm.P)
+	var tab m68k.BroadcastTable
+	if batchTier {
+		tab = prog.BroadcastTable()
+	}
+	fusable := false
+	refresh := func() {
+		fusable = batchTier
+		for g := range groups {
+			groups[g].rebuild(vm.MCs[g], pes)
+			fusable = fusable && groups[g].fused
+		}
+	}
+	refresh()
 
 	var mcSteps int64
 	var mcStall, peStarve int64
 	memoH, memoM := vm.MemoHits(), vm.MemoMisses()
-	type issue struct {
-		blk   m68k.BlockRange
-		ready bool
-	}
-	issues := make([]issue, vm.Q)
 	for {
 		// Advance every live MC to its next BCAST (or halt).
-		for g := range issues {
-			issues[g] = issue{}
-		}
 		anyLive := false
 		for g := range groups {
-			if groups[g].halted {
+			gr := &groups[g]
+			gr.issued = false
+			if gr.halted {
 				continue
 			}
-			mc := groups[g].mc
+			mc := gr.mc
 			for {
 				st := mc.Step()
 				mcSteps++
@@ -113,6 +122,7 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 					// of this group (disabled PEs wait, not
 					// participating in instruction release).
 					vm.MCs[g].Mask = fetchunit.Mask(mc.LastMask)
+					refresh()
 					continue
 				case m68k.StatusBcast:
 					// The Fetch Unit controller must be free before the
@@ -123,9 +133,9 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 						mc.Regions[m68k.RegionControl] += stall
 						mcStall += stall
 					}
-					issues[g] = issue{blk: mc.LastBcast, ready: true}
+					gr.blk, gr.issued = mc.LastBcast, true
 				case m68k.StatusHalted:
-					groups[g].halted = true
+					gr.halted = true
 				case m68k.StatusBlocked:
 					return RunResult{}, fmt.Errorf("pasm: MC %d blocked on a device access at pc %d", g, mc.PC)
 				default:
@@ -133,7 +143,7 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 				}
 				break
 			}
-			if issues[g].ready {
+			if gr.issued {
 				anyLive = true
 			}
 		}
@@ -142,36 +152,32 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 		}
 		// All groups execute the same program; their BCAST sequences
 		// must agree.
-		var blk m68k.BlockRange
-		first := true
+		blk := groups[0].blk
 		for g := range groups {
-			if !issues[g].ready {
+			if !groups[g].issued {
 				return RunResult{}, fmt.Errorf("pasm: MC %d halted while others broadcast", g)
 			}
-			if first {
-				blk = issues[g].blk
-				first = false
-			} else if issues[g].blk != blk {
+			if groups[g].blk != blk {
 				return RunResult{}, fmt.Errorf("pasm: MCs diverged: block [%d,%d) vs [%d,%d)",
-					blk.Start, blk.End, issues[g].blk.Start, issues[g].blk.End)
+					blk.Start, blk.End, groups[g].blk.Start, groups[g].blk.End)
 			}
 		}
 		if blk.Len() == 0 {
 			return RunResult{}, fmt.Errorf("pasm: empty broadcast block")
 		}
-		// Stream the block: per instruction, per group: enqueue,
-		// release at max(ready, all enabled requests), execute on each
-		// enabled PE.
+		// Stream the block, instruction-major: per instruction, per
+		// group: enqueue, release at max(ready, the group's latest
+		// request), consume, execute on each enabled PE.
 		for idx := blk.Start; idx < blk.End; idx++ {
-			if batchTier {
-				if run, ok := prog.MuluRunAt(idx); ok {
-					n := run.Len
-					if idx+n > blk.End {
-						n = blk.End - idx
-					}
-					if n > 1 && peBatchable(pes) && vm.masksAllEnabled() {
+			in := &prog.Instrs[idx]
+			if !broadcastable(in) {
+				return RunResult{}, fmt.Errorf("pasm: %s at instruction %d is not valid inside a broadcast block", in.Op, idx)
+			}
+			if fusable {
+				if run, ok := tab.MuluRun(idx); ok {
+					if n := min(run.Len, blk.End-idx); n > 1 {
 						for g := range groups {
-							if err := vm.lockstepMuluRun(g, groups[g].mc.Clock, pes, run, n, batchCost, &peStarve); err != nil {
+							if err := vm.lockstepMuluRun(g, &groups[g], run, n, &peStarve); err != nil {
 								return RunResult{}, err
 							}
 						}
@@ -180,35 +186,17 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 					}
 				}
 			}
-			in := &prog.Instrs[idx]
-			if !broadcastable(in) {
-				return RunResult{}, fmt.Errorf("pasm: %s at instruction %d is not valid inside a broadcast block", in.Op, idx)
-			}
 			for g := range groups {
-				mcg := vm.MCs[g]
-				ready, err := mcg.Queue.Enqueue(groups[g].mc.Clock, int(in.Words))
+				gr := &groups[g]
+				// Enqueue, release and consume (nothing the PEs do
+				// touches the queue), then execute.
+				release, starve, err := vm.MCs[g].Queue.LockstepRun(gr.mc.Clock, int(in.Words), 1, gr.maxReq, 0)
 				if err != nil {
 					return RunResult{}, fmt.Errorf("pasm: group %d: %w", g, err)
 				}
-				var maxReq int64 = -1
-				for k, pe := range mcg.PEs {
-					if mcg.Mask.Enabled(k) && pes[pe.Index].Clock > maxReq {
-						maxReq = pes[pe.Index].Clock
-					}
-				}
-				release := ready
-				if maxReq > release {
-					release = maxReq
-				} else if maxReq >= 0 {
-					// PEs requested before the word was in the queue:
-					// they starve on the controller/MC.
-					peStarve += ready - maxReq
-				}
-				if err := vm.execLockstep(mcg, pes, in, idx, release); err != nil {
+				peStarve += starve
+				if err := vm.execLockstep(gr, in, idx, release); err != nil {
 					return RunResult{}, err
-				}
-				if err := mcg.Queue.Consume(int(in.Words), release); err != nil {
-					return RunResult{}, fmt.Errorf("pasm: group %d: %w", g, err)
 				}
 			}
 			if in.Op == m68k.JMP {
@@ -238,6 +226,7 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 				for _, cpu := range pes {
 					cpu.FetchFromMem = false
 				}
+				refresh()
 			}
 		}
 	}
@@ -278,158 +267,168 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 	return res, nil
 }
 
-// execLockstep runs one released broadcast instruction on every
-// enabled PE of a group, retrying PEs that block on a device until the
-// whole group completes (a barrier read inside a broadcast block
-// resolves this way; anything else that stays blocked is a program
-// structure error).
-func (vm *VM) execLockstep(mcg *MC, pes []*m68k.CPU, in *m68k.Instr, idx int, release int64) error {
-	var blocked []int
-	for k, pe := range mcg.PEs {
-		if !mcg.Mask.Enabled(k) {
+// lockGroup is one MC group's state while RunSIMD streams broadcast
+// blocks.
+type lockGroup struct {
+	mc     *m68k.CPU
+	halted bool
+	// blk is the block the MC's latest BCAST issued (issued reports
+	// whether it issued one this round).
+	blk    m68k.BlockRange
+	issued bool
+	// cpus are the PEs the group's Fetch Unit mask enables, in PE
+	// order, and pes their partition indices: rebuilt only when the
+	// mask or the PEs' state changes, never per instruction.
+	cpus []*m68k.CPU
+	pes  []int
+	// maxReq is the latest request clock among cpus (-1: none
+	// enabled), the release rule's input. Each exec pass returns the
+	// next one, so no release rescans the group.
+	maxReq int64
+	// fused reports whether every enabled PE can take the fused
+	// MULU-run arithmetic: live (a PE halted in a mixed-mode section
+	// only waits) and untraced (the fused run skips per-instruction
+	// trace callbacks).
+	fused bool
+}
+
+// rebuild recomputes the group's enabled PEs, latest request clock and
+// fusability from mc's mask and the PEs' current state.
+func (gr *lockGroup) rebuild(mc *MC, pes []*m68k.CPU) {
+	gr.cpus, gr.pes = gr.cpus[:0], gr.pes[:0]
+	gr.maxReq, gr.fused = -1, true
+	for k, pe := range mc.PEs {
+		if !mc.Mask.Enabled(k) {
 			continue
 		}
 		cpu := pes[pe.Index]
-		// Lockstep wait: the PE requested at its clock; the release
-		// time is charged to the instruction's region.
-		if wait := release - cpu.Clock; wait > 0 {
-			cpu.Regions[in.Region] += wait
-			cpu.Clock = release
-			if vm.Obs != nil {
-				vm.Obs.Emit(vm.obsPE[pe.Index], obs.Event{
+		gr.cpus = append(gr.cpus, cpu)
+		gr.pes = append(gr.pes, pe.Index)
+		gr.maxReq = max(gr.maxReq, cpu.Clock)
+		if cpu.Halted || cpu.Err != nil || cpu.Trace != nil {
+			gr.fused = false
+		}
+	}
+}
+
+// execLockstep runs one released broadcast instruction on every
+// enabled PE of a group and leaves the group's next request time in
+// gr.maxReq. PEs that block on a device are retried until the whole
+// group completes (a barrier read inside a broadcast block resolves
+// this way; anything else that stays blocked is a program structure
+// error).
+func (vm *VM) execLockstep(gr *lockGroup, in *m68k.Instr, idx int, release int64) error {
+	if vm.Obs != nil {
+		for i, cpu := range gr.cpus {
+			if wait := release - cpu.Clock; wait > 0 {
+				vm.Obs.Emit(vm.obsPE[gr.pes[i]], obs.Event{
 					Kind: obs.KindLockstepWait, Clock: release, Dur: wait,
 				})
 			}
 		}
-		switch st := cpu.ExecBroadcastAt(idx); st {
-		case m68k.StatusOK, m68k.StatusHalted:
+	}
+	maxClock, st, k := m68k.ExecLockstep(gr.cpus, idx, release)
+	if st == m68k.StatusOK {
+		gr.maxReq = maxClock
+		return nil
+	}
+	// Slow path: record blocked PEs (by position in the group) and
+	// resume the pass after each.
+	var blocked []int
+	for base := 0; ; {
+		switch st {
+		case m68k.StatusOK:
 		case m68k.StatusBlocked:
-			blocked = append(blocked, pe.Index)
+			blocked = append(blocked, base+k)
 		default:
-			return fmt.Errorf("pasm: PE %d error in broadcast: %w", pe.Index, cpu.Err)
+			pi := gr.pes[base+k]
+			return fmt.Errorf("pasm: PE %d error in broadcast: %w", pi, gr.cpus[base+k].Err)
 		}
+		if base += k + 1; base >= len(gr.cpus) {
+			break
+		}
+		_, st, k = m68k.ExecLockstep(gr.cpus[base:], idx, release)
 	}
 	// Retry blocked PEs; each full pass must make progress.
 	for pass := 0; len(blocked) > 0; pass++ {
 		if pass > vm.P+1 {
-			return fmt.Errorf("pasm: PEs %v deadlocked in broadcast instruction %q", blocked, in)
+			return fmt.Errorf("pasm: PEs %v deadlocked in broadcast instruction %q", gr.peList(blocked), in)
 		}
 		var still []int
-		for _, pi := range blocked {
-			switch st := pes[pi].ExecBroadcastAt(idx); st {
-			case m68k.StatusOK, m68k.StatusHalted:
+		for _, i := range blocked {
+			switch _, st, _ := m68k.ExecLockstep(gr.cpus[i:i+1], idx, release); st {
+			case m68k.StatusOK:
 			case m68k.StatusBlocked:
-				still = append(still, pi)
+				still = append(still, i)
 			default:
-				return fmt.Errorf("pasm: PE %d error in broadcast retry: %w", pi, pes[pi].Err)
+				return fmt.Errorf("pasm: PE %d error in broadcast retry: %w", gr.pes[i], gr.cpus[i].Err)
 			}
 		}
 		if len(still) == len(blocked) {
-			return fmt.Errorf("pasm: PEs %v stuck in broadcast instruction %q (no progress)", still, in)
+			return fmt.Errorf("pasm: PEs %v stuck in broadcast instruction %q (no progress)", gr.peList(still), in)
 		}
 		blocked = still
+	}
+	gr.maxReq = -1
+	for _, cpu := range gr.cpus {
+		gr.maxReq = max(gr.maxReq, cpu.Clock)
 	}
 	return nil
 }
 
-// peBatchable reports whether every PE can take the MULU-run batch
-// path: live (a PE halted in a mixed-mode section skips broadcast
-// instructions, which the batch cannot model) and untraced (the batch
-// skips per-instruction trace callbacks).
-func peBatchable(pes []*m68k.CPU) bool {
-	for _, cpu := range pes {
-		if cpu.Halted || cpu.Err != nil || cpu.Trace != nil {
-			return false
-		}
+// peList maps positions in the group to partition PE indices (for
+// error messages).
+func (gr *lockGroup) peList(pos []int) []int {
+	out := make([]int, len(pos))
+	for i, p := range pos {
+		out[i] = gr.pes[p]
 	}
-	return true
-}
-
-// masksAllEnabled reports whether every group's Fetch Unit mask
-// enables all its PEs (the batch path's lockstep arithmetic assumes
-// every PE participates in every release).
-func (vm *VM) masksAllEnabled() bool {
-	for g := range vm.MCs {
-		if vm.MCs[g].Mask != fetchunit.AllEnabled(len(vm.MCs[g].PEs)) {
-			return false
-		}
-	}
-	return true
+	return out
 }
 
 // lockstepMuluRun streams a fused run of n identical MULUs through
-// group g's Fetch Unit queue with O(1) arithmetic per instruction
-// instead of executing each member on each PE.
+// group g's Fetch Unit queue in one call instead of executing each
+// member on each enabled PE.
 //
 // The equivalence argument: during block streaming the MC clock is
 // fixed (the MC has already run ahead to its next BCAST), so every
-// Enqueue sees the same issue time as the reference path. Each PE's
-// per-member cost (static base + the data-dependent multiply time of
-// the invariant source register) is a constant c_p, so after the
-// first release every enabled PE requests at release+c_p and the next
-// release is max(ready, release+max_p(c_p)) — no per-PE scan needed.
-// Enqueue/Consume still run once per member, so all queue state
-// (controller-free time, occupancy high-water mark, full-queue
-// stalls) evolves identically. Interior flag writes are dead (every
-// member overwrites NZVC; X is never touched), so only the final
-// product, flags, clocks and region charges are materialized — the
-// exact values the reference path leaves behind.
-func (vm *VM) lockstepMuluRun(g int, mcClock int64, pes []*m68k.CPU, run m68k.MuluRun, n int, cost []int64, peStarve *int64) error {
-	mcg := vm.MCs[g]
-	var cmax int64 = -1
-	for _, pe := range mcg.PEs {
-		cpu := pes[pe.Index]
-		mt := cpu.FixedMulCycles
-		if mt <= 0 {
-			mt = m68k.MuluCycles(uint16(cpu.D[run.Src]))
+// member is enqueued at the same issue time as on the reference path.
+// Each PE's per-member cost (static base + the data-dependent multiply
+// time of the invariant source register) is a constant c_p, so after
+// the first release every enabled PE requests at release+c_p and the
+// next release is max(ready, release+max_p(c_p)): no per-PE scan.
+// Queue.LockstepRun replays the n Enqueue+Consume pairs with exactly
+// the per-word queue evolution of the reference path. Interior flag
+// writes are dead (every member overwrites NZVC; X is never touched),
+// so only the final product, flags, clocks and region charges are
+// materialized: the exact values the reference path leaves behind.
+func (vm *VM) lockstepMuluRun(g int, gr *lockGroup, run m68k.MuluRun, n int, peStarve *int64) error {
+	cost := func(cpu *m68k.CPU) int64 {
+		if cpu.FixedMulCycles > 0 {
+			return run.Base + cpu.FixedMulCycles
 		}
-		c := run.Base + mt
-		cost[pe.Index] = c
-		if c > cmax {
-			cmax = c
-		}
+		return run.Base + m68k.MuluCycles(uint16(cpu.D[run.Src]))
 	}
-	var release int64
-	for i := 0; i < n; i++ {
-		ready, err := mcg.Queue.Enqueue(mcClock, run.Words)
-		if err != nil {
-			return fmt.Errorf("pasm: group %d: %w", g, err)
-		}
-		var maxReq int64 = -1
-		if i == 0 {
-			for _, pe := range mcg.PEs {
-				if clk := pes[pe.Index].Clock; clk > maxReq {
-					maxReq = clk
-				}
-			}
-		} else {
-			maxReq = release + cmax
-		}
-		r := ready
-		if maxReq > r {
-			r = maxReq
-		} else if maxReq >= 0 {
-			*peStarve += ready - maxReq
-		}
-		release = r
-		if err := mcg.Queue.Consume(run.Words, release); err != nil {
-			return fmt.Errorf("pasm: group %d: %w", g, err)
-		}
+	var cmax int64
+	for _, cpu := range gr.cpus {
+		cmax = max(cmax, cost(cpu))
 	}
-	for _, pe := range mcg.PEs {
-		cpu := pes[pe.Index]
-		final := release + cost[pe.Index]
+	release, starve, err := vm.MCs[g].Queue.LockstepRun(gr.mc.Clock, run.Words, n, gr.maxReq, cmax)
+	if err != nil {
+		return fmt.Errorf("pasm: group %d: %w", g, err)
+	}
+	*peStarve += starve
+	gr.maxReq = -1
+	for _, cpu := range gr.cpus {
+		final := release + cost(cpu)
 		cpu.Regions[run.Region] += final - cpu.Clock
 		cpu.Clock = final
 		cpu.InstrCount += int64(n)
 		cpu.PC += n
-		src := cpu.D[run.Src] & 0xFFFF
-		d := cpu.D[run.Dst]
-		for i := 0; i < n; i++ {
-			d = (d & 0xFFFF) * src
-		}
+		d := m68k.MuluRunProduct(cpu.D[run.Dst], cpu.D[run.Src], n)
 		cpu.D[run.Dst] = d
 		cpu.N, cpu.Z, cpu.V, cpu.C = d&0x80000000 != 0, d == 0, false, false
+		gr.maxReq = max(gr.maxReq, final)
 	}
 	return nil
 }
