@@ -3,10 +3,10 @@
 // BENCH_interp.json.
 //
 // For every selected fig6/fig7 row it runs the generated program on
-// each tier — dynamic reference, exec-table, superinstructions +
-// segment memo — timing only the simulation itself (program build,
-// operand load, and result readback are excluded; they are identical
-// across tiers and amortized once per request on the serving path).
+// each tier — dynamic reference, exec-table, superinstructions —
+// timing only the simulation itself (program build, operand load, and
+// result readback are excluded; they are identical across tiers and
+// amortized once per request on the serving path).
 // MIPS is simulated instructions per host second; the simulated
 // instruction count is tier-invariant, so the MIPS ratio is exactly
 // the simulation-time ratio.
@@ -86,10 +86,8 @@ func configFor(tier string) pasm.Config {
 	switch tier {
 	case "reference":
 		cfg.DisableExecTable = true
-		cfg.DisableSegmentMemo = true
 	case "table":
 		cfg.DisableSuperinstructions = true
-		cfg.DisableSegmentMemo = true
 	}
 	return cfg
 }

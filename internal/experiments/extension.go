@@ -239,7 +239,6 @@ func FaultTolerance(opts Options) (*FaultResult, error) {
 		if err != nil {
 			return err
 		}
-		opts.tally(res)
 		c, err := matmul.ReadC(vm, l)
 		if err != nil {
 			return err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/pasm"
@@ -14,9 +13,9 @@ import (
 const SchemaV2 = "pasmbench/v2"
 
 // SchemaV21 extends v2 with the active interpreter tier and the
-// segment-cache totals in the observe section. Every v2 field is
-// intact; v2 consumers that tolerate unknown fields read v2.1
-// documents unchanged.
+// segment-cache totals (retired, always 0) in the observe section.
+// Every v2 field is intact; v2 consumers that tolerate unknown fields
+// read v2.1 documents unchanged.
 const SchemaV21 = "pasmbench/v2.1"
 
 // SchemaV22 extends v2.1 with the simulated machine size ("pes").
@@ -49,12 +48,11 @@ type ReportExperiment struct {
 }
 
 // InterpInfo is the report's v2.1 observe-section extension: which
-// interpreter tier simulated the spec and how the segment cache
-// behaved. The simulated numbers are identical for every tier (the
-// differential tests enforce it), so this records provenance and
-// cache effectiveness, not semantics. The counters are totals across
-// every cell's VM; summation is commutative, so they are
-// deterministic for any host parallelism.
+// interpreter tier simulated the spec. The simulated numbers are
+// identical for every tier (the differential tests enforce it), so
+// this records provenance, not semantics. MemoHits and MemoMisses are
+// retired with the segment cache they counted: they are always 0 and
+// stay in the v2.2 schema so existing readers keep parsing it.
 type InterpInfo struct {
 	Tier       string `json:"tier"`
 	MemoHits   int64  `json:"memo_hits"`
@@ -185,7 +183,6 @@ func RunSpecContext(ctx context.Context, spec Spec, rc RunConfig) (*Report, erro
 	opts.Seed = n.Seed
 	opts.Observe = n.Observe
 	applyPEs(&opts.Config, n.PEs)
-	opts.memo = &memoTally{}
 	if opts.InterpTier == "" {
 		opts.InterpTier = "super"
 	}
@@ -234,11 +231,7 @@ func RunSpecContext(ctx context.Context, spec Spec, rc RunConfig) (*Report, erro
 			return nil, err
 		}
 	}
-	report.Interp = &InterpInfo{
-		Tier:       opts.InterpTier,
-		MemoHits:   atomic.LoadInt64(&opts.memo.hits),
-		MemoMisses: atomic.LoadInt64(&opts.memo.misses),
-	}
+	report.Interp = &InterpInfo{Tier: opts.InterpTier}
 	if rc.Timings {
 		report.HostSeconds = time.Since(suiteStart).Seconds()
 	}

@@ -121,7 +121,6 @@ l:
 	if err != nil {
 		return 0, 0, err
 	}
-	opts.tally(r)
 	perPE := r.Instrs / int64(vm.P)
 	return r.Cycles, perPE, nil
 }

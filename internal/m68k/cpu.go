@@ -96,13 +96,6 @@ type CPU struct {
 	// DisableExecTable; production callers leave it false.
 	DisableSuperinstructions bool
 
-	// MemWatch, when non-nil, observes every successful data access
-	// to Mem (reads and writes; device-window accesses and
-	// instruction fetches are excluded). The PASM segment-memoization
-	// layer uses it to capture a segment's external reads and final
-	// writes. nil costs one pointer test per access.
-	MemWatch func(addr uint32, sz Size, val uint32, write bool)
-
 	// Trace, when non-nil, is called after every committed instruction
 	// with the instruction, the PC it executed at, the clock after it,
 	// and its cycle cost. Used by the trace package; nil costs nothing.
@@ -395,9 +388,6 @@ func (c *CPU) opRead(o Operand, sz Size, cycles *int64) (val uint32, blocked boo
 		acc = 2
 	}
 	*cycles += c.Mem.Penalty(c.Clock, acc)
-	if c.MemWatch != nil {
-		c.MemWatch(addr, sz, v, false)
-	}
 	return v, false, nil
 }
 
@@ -435,9 +425,6 @@ func (c *CPU) opWrite(o Operand, sz Size, val uint32, cycles *int64) (blocked bo
 		acc = 2
 	}
 	*cycles += c.Mem.Penalty(c.Clock, acc)
-	if c.MemWatch != nil {
-		c.MemWatch(addr, sz, mask(val, sz), true)
-	}
 	return false, nil
 }
 

@@ -58,10 +58,6 @@ func (c *CPU) alu2(in *Instr, cycles int64, next int) Status {
 	if err := c.Mem.Write(addr, sz, mask(r, sz)); err != nil {
 		return c.errf(in, "%v", err)
 	}
-	if c.MemWatch != nil {
-		c.MemWatch(addr, sz, old, false)
-		c.MemWatch(addr, sz, mask(r, sz), true)
-	}
 	acc := int64(2)
 	if sz == Long {
 		acc = 4
@@ -122,10 +118,6 @@ func (c *CPU) alu1(in *Instr, cycles int64, next int) Status {
 	if err := c.Mem.Write(addr, sz, mask(r, sz)); err != nil {
 		return c.errf(in, "%v", err)
 	}
-	if c.MemWatch != nil {
-		c.MemWatch(addr, sz, v, false)
-		c.MemWatch(addr, sz, mask(r, sz), true)
-	}
 	acc := int64(2)
 	if sz == Long {
 		acc = 4
@@ -173,16 +165,10 @@ func (c *CPU) bitOp(in *Instr, cycles int64, next int) Status {
 		return c.errf(in, "%v", err)
 	}
 	c.Z = v&(1<<bit) == 0
-	if c.MemWatch != nil {
-		c.MemWatch(addr, Byte, v, false)
-	}
 	acc := int64(1)
 	if in.Op != BTST {
 		if err := c.Mem.Write(addr, Byte, modify(v, bit)); err != nil {
 			return c.errf(in, "%v", err)
-		}
-		if c.MemWatch != nil {
-			c.MemWatch(addr, Byte, modify(v, bit), true)
 		}
 		acc = 2
 	}

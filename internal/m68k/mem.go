@@ -91,20 +91,36 @@ func (m *Memory) Penalty(clock int64, accesses int64) int64 {
 	return p
 }
 
-// RefreshPhase returns the refresh model's state relative to the
-// given CPU clock: the cycles until the next chargeable refresh
-// collision (<= 0 means the next access collides). Penalty depends on
-// the clock only through this value, so two machine states with equal
-// phase behave identically — the property the PASM segment
-// memoization relies on to key and replay refresh interference.
-func (m *Memory) RefreshPhase(clock int64) int64 {
-	return m.nextRefresh - clock
-}
-
-// SetRefreshPhase restores the refresh state captured by RefreshPhase
-// against a (possibly different) CPU clock.
-func (m *Memory) SetRefreshPhase(clock, phase int64) {
-	m.nextRefresh = clock + phase
+// refreshRun returns the clock and refresh state after n back-to-back
+// members of a run whose members each cost perMember cycles plus, when
+// the refresh model charges one at the member's start clock, a stall:
+// the closed form of n Penalty calls (with the wait states folded into
+// perMember). A stall at clock t arms the next one at t+period, and
+// the member after it starts at t+stall+perMember, so once the first
+// stall has happened the next comes exactly ⌈(period-stall)/perMember⌉
+// members later (at least one), whatever the absolute clock. period
+// <= 0 disables refresh; perMember and stall must be non-negative.
+func refreshRun(clock, nextRefresh, n, perMember, period, stall int64) (int64, int64) {
+	if n <= 0 {
+		return clock, nextRefresh
+	}
+	end := clock + n*perMember
+	if period <= 0 || clock+(n-1)*perMember < nextRefresh {
+		return end, nextRefresh // no member starts at or after nextRefresh
+	}
+	var first int64 // the first member to stall
+	if clock < nextRefresh {
+		first = (nextRefresh - clock + perMember - 1) / perMember
+	}
+	last, stalls := first, int64(1) // the last member to stall, and the count
+	if gap := period - stall; gap <= perMember {
+		last, stalls = n-1, n-first // every member from the first stall on
+	} else if perMember > 0 {
+		gap = (gap + perMember - 1) / perMember
+		stalls += (n - 1 - first) / gap
+		last += (stalls - 1) * gap
+	}
+	return end + stalls*stall, clock + last*perMember + (stalls-1)*stall + period
 }
 
 // AddressError reports an odd-address word/long access, which the

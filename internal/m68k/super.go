@@ -97,9 +97,7 @@ func (p *Program) BasicBlocks() []BasicBlock {
 }
 
 // BlockIndexOf returns the index (into BasicBlocks) of the basic
-// block containing instruction pc, or -1 when pc is out of range. The
-// PASM segment-memoization layer uses it as the block component of
-// its cache keys.
+// block containing instruction pc, or -1 when pc is out of range.
 func (p *Program) BlockIndexOf(pc int) int {
 	p.super()
 	if pc < 0 || pc >= len(p.blockOf) {
@@ -310,7 +308,8 @@ func kernelShape(sup []superOp, s, e int) bool {
 		for k := s + 3; k < e; k++ {
 			tk := &sup[k]
 			if (tk.kind != skMulu && tk.kind != skMuluRun) ||
-				tk.mreg != m1.mreg || tk.reg != t {
+				tk.mreg != m1.mreg || tk.reg != t ||
+				tk.base != sup[s+3].base || tk.words != sup[s+3].words {
 				return false
 			}
 		}
@@ -375,6 +374,16 @@ func MuluRunProduct(d, src uint32, n int) uint32 {
 		b = b * b & 0xFFFF
 	}
 	return ((d & 0xFFFF) * pow & 0xFFFF) * s
+}
+
+// muluTime is a MULU's multiply time for the given source word: the
+// FixedMulCycles ablation constant when set, else the data-dependent
+// 38 + 2*ones.
+func (c *CPU) muluTime(src uint32) int64 {
+	if c.FixedMulCycles > 0 {
+		return c.FixedMulCycles
+	}
+	return MuluCycles(uint16(src))
 }
 
 // sameMulu reports whether b is another member of a's MULU run:
@@ -687,9 +696,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, v, false)
-		}
 		c.N, c.Z, c.V, c.C = v&signBit(op.size) != 0, v == 0, false, false
 		c.D[op.reg] = merge(c.D[op.reg], v, op.size)
 		c.superIncDec(op)
@@ -705,9 +711,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, v, true)
-		}
 		c.N, c.Z, c.V, c.C = v&signBit(op.size) != 0, v == 0, false, false
 		c.superIncDec(op)
 		return c.scommit(op, pc, cycles, next)
@@ -726,9 +729,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, v, false)
-		}
 		c.A[op.reg] = signExtTo32(v, op.size)
 		c.superIncDec(op)
 		return c.scommit(op, pc, cycles, next)
@@ -757,9 +757,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, 0, true)
-		}
 		c.N, c.Z, c.V, c.C = false, true, false, false
 		c.superIncDec(op)
 		return c.scommit(op, pc, cycles, next)
@@ -780,9 +777,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, src, false)
-		}
 		old := mask(c.D[op.reg], op.size)
 		c.D[op.reg] = merge(c.D[op.reg], c.aluSet(op.op8, old, src, op.size), op.size)
 		c.superIncDec(op)
@@ -802,10 +796,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 		// Read has checked (and backed) this access: the write cannot fail.
 		_ = c.Mem.Write(addr, op.size, rm)
 		cycles += c.Mem.Penalty(c.Clock, 2*op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, old, false)
-			c.MemWatch(addr, op.size, rm, true)
-		}
 		c.superIncDec(op)
 		return c.scommit(op, pc, cycles, next)
 
@@ -827,9 +817,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, src, false)
-		}
 		dst := mask(c.D[op.reg], op.size)
 		f := subFlags(dst, src, dst-src, op.size)
 		f.setX = false
@@ -856,9 +843,6 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, v, false)
-		}
 		s32 := signExtTo32(v, op.size)
 		if op.op8 == ADDA {
 			c.A[op.reg] += s32
@@ -891,20 +875,13 @@ func (c *CPU) execSuperOp(op *superOp, pc int, fetch int64, next int) Status {
 			return c.sfallback(op, fetch, next)
 		}
 		cycles += c.Mem.Penalty(c.Clock, op.acc)
-		if c.MemWatch != nil {
-			c.MemWatch(addr, op.size, v, false)
-		}
 		c.N, c.Z, c.V, c.C = v&signBit(op.size) != 0, v == 0, false, false
 		c.superIncDec(op)
 		return c.scommit(op, pc, cycles, next)
 
 	case skMulu, skMuluRun:
 		src := mask(c.D[op.mreg], Word)
-		if c.FixedMulCycles > 0 {
-			cycles += c.FixedMulCycles
-		} else {
-			cycles += MuluCycles(uint16(src))
-		}
+		cycles += c.muluTime(src)
 		r := mask(c.D[op.reg], Word) * src
 		c.D[op.reg] = r
 		c.N, c.Z, c.V, c.C = r&0x80000000 != 0, r == 0, false, false
@@ -987,32 +964,23 @@ func (c *CPU) runSuper(maxSteps int64) Status {
 		op := &sup[pc]
 		if op.kind == skMuluRun && c.Trace == nil {
 			// Fused run of identical MULUs: the source register is
-			// invariant, so its data-dependent time is evaluated once;
-			// per-instruction fetch penalties still walk the refresh
-			// phase. Flags interior to the run are dead (each MULU
-			// overwrites them; X is never touched), so only the final
-			// NZVC are materialized.
+			// invariant, so its data-dependent time is evaluated once
+			// and the members' fetch penalties are charged in closed
+			// form (refreshRun). Flags interior to the run are dead
+			// (each MULU overwrites them; X is never touched), so only
+			// the final NZVC are materialized.
 			n := int64(op.runLen)
 			if rem := maxSteps - steps; n > rem {
 				n = rem
 			}
 			src := c.D[op.mreg] & 0xFFFF
-			mt := c.FixedMulCycles
-			if mt <= 0 {
-				mt = MuluCycles(uint16(src))
-			}
-			per := op.base + mt
-			clock := c.Clock
-			d := c.D[op.reg]
+			per := op.base + c.muluTime(src)
+			clock := c.Clock + per*n
 			if fetchMem {
-				for i := int64(0); i < n; i++ {
-					clock += per + mem.Penalty(clock, op.words)
-					d = (d & 0xFFFF) * src
-				}
-			} else {
-				d = MuluRunProduct(d, src, int(n))
-				clock += per * n
+				clock, mem.nextRefresh = refreshRun(c.Clock, mem.nextRefresh, n,
+					per+mem.WaitStates*op.words, mem.RefreshPeriod, mem.RefreshStall)
 			}
+			d := MuluRunProduct(c.D[op.reg], src, int(n))
 			c.Regions[op.region] += clock - c.Clock
 			c.Clock = clock
 			c.InstrCount += n
@@ -1022,7 +990,7 @@ func (c *CPU) runSuper(maxSteps int64) Status {
 			steps += n
 			continue
 		}
-		if op.loopEnd != 0 && c.Trace == nil && c.MemWatch == nil {
+		if op.loopEnd != 0 && c.Trace == nil {
 			if op.kern {
 				if n := c.runKernelLoop(sup, pc, int(op.loopEnd), maxSteps-steps); n > 0 {
 					steps += n
@@ -1095,11 +1063,11 @@ func memStore(data []byte, addr uint32, sz Size, val uint32) {
 // self-loop block (body of whitelisted micro-ops ending in a DBcc back
 // to the block start) in a single tight loop with the memory model's
 // wait-state/refresh arithmetic inlined and data accessed directly,
-// eliminating per-instruction dispatch. It is entered only with trace
-// and memory-watch callbacks off; all other semantics — penalty call
-// order (fetch then data, both at the instruction-start clock), refresh
-// phase evolution, flag materialization, region charges, step budget —
-// are identical to execSuperOp, which the differential tests verify.
+// eliminating per-instruction dispatch. It is entered only with the
+// trace callback off; all other semantics — penalty call order (fetch
+// then data, both at the instruction-start clock), refresh phase
+// evolution, flag materialization, region charges, step budget — are
+// identical to execSuperOp, which the differential tests verify.
 //
 // Any member that needs the slow path (device-window address, fault,
 // or a fused run exceeding the remaining budget) makes runLoop flush
@@ -1173,27 +1141,14 @@ loop:
 				break loop // partial run: let the caller's fused path clamp it
 			}
 			src := c.D[op.mreg] & 0xFFFF
-			mt := c.FixedMulCycles
-			if mt <= 0 {
-				mt = MuluCycles(uint16(src))
-			}
-			per := op.base + mt
+			per := op.base + c.muluTime(src)
 			before := clock
-			d := c.D[op.reg]
 			if fetchMem {
-				for i := int64(0); i < n; i++ {
-					f := ws * op.words
-					if rp > 0 && clock >= nref {
-						f += rs
-						nref = clock + rp
-					}
-					clock += per + f
-					d = (d & 0xFFFF) * src
-				}
+				clock, nref = refreshRun(clock, nref, n, per+ws*op.words, rp, rs)
 			} else {
-				d = MuluRunProduct(d, src, int(n))
 				clock += per * n
 			}
+			d := MuluRunProduct(c.D[op.reg], src, int(n))
 			c.Regions[op.region] += clock - before
 			c.D[op.reg] = d
 			c.N, c.Z, c.V, c.C = d&0x80000000 != 0, d == 0, false, false
@@ -1212,12 +1167,7 @@ loop:
 					nref = clock + rp
 				}
 			}
-			cyc = op.base + fetch
-			if c.FixedMulCycles > 0 {
-				cyc += c.FixedMulCycles
-			} else {
-				cyc += MuluCycles(uint16(src))
-			}
+			cyc = op.base + fetch + c.muluTime(src)
 			r := (c.D[op.reg] & 0xFFFF) * src
 			c.D[op.reg] = r
 			c.N, c.Z, c.V, c.C = r&0x80000000 != 0, r == 0, false, false
@@ -1436,9 +1386,18 @@ func (c *CPU) runKernelLoop(sup []superOp, start, end int, budget int64) int64 {
 	fetchMem := c.FetchFromMem
 
 	src := c.D[m1.mreg] & 0xFFFF // loop-invariant multiplier
-	mt := c.FixedMulCycles
-	if mt <= 0 {
-		mt = MuluCycles(uint16(src))
+	mt := c.muluTime(src)
+	// The muls chain runs as one closed-form refresh run (kernelShape
+	// guarantees identical members); without instruction fetches it
+	// touches no memory, so refresh cannot reach it.
+	ntail := int64(len(tail))
+	var tailPer, tailRP int64
+	if ntail > 0 {
+		tailPer = tail[0].base + mt
+		if fetchMem {
+			tailPer += ws * tail[0].words
+			tailRP = rp
+		}
 	}
 	a0 := c.A[m0.mreg]
 	a1 := c.A[m2.mreg]
@@ -1510,21 +1469,10 @@ func (c *CPU) runKernelLoop(sup []superOp, start, end int, budget int64) int64 {
 		cf = old+s2 > 0xFFFF
 		xf = cf
 		clock += cyc
-		// muls chain (flags land on the final product below)
-		for j := range tail {
-			t := &tail[j]
-			cyc = t.base + mt
-			if fetchMem {
-				cyc += ws * t.words
-				if rp > 0 && clock >= nref {
-					cyc += rs
-					nref = clock + rp
-				}
-			}
-			dch = (dch & 0xFFFF) * src
-			clock += cyc
-		}
-		if len(tail) > 0 {
+		// muls chain (flags land on the final product)
+		if ntail > 0 {
+			clock, nref = refreshRun(clock, nref, ntail, tailPer, tailRP, rs)
+			dch = MuluRunProduct(dch, src, int(ntail))
 			nf, zf, vf, cf = dch&0x80000000 != 0, dch == 0, false, false
 		}
 		// dbra dC, <start>

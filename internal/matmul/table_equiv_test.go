@@ -10,8 +10,7 @@ import (
 
 // tier selects one of the three interpreter configurations under
 // differential test: the dynamic reference path, the pre-resolved
-// execution table, and the superinstruction tier with segment
-// memoization on top.
+// execution table, and the superinstruction tier.
 type tier int
 
 const (
@@ -39,10 +38,8 @@ func (tr tier) apply(cfg *pasm.Config) {
 	switch tr {
 	case tierReference:
 		cfg.DisableExecTable = true
-		cfg.DisableSegmentMemo = true
 	case tierTable:
 		cfg.DisableSuperinstructions = true
-		cfg.DisableSegmentMemo = true
 	}
 }
 
@@ -127,13 +124,9 @@ func diffObs(t *testing.T, label string, ref, got *obs.Recorder) {
 }
 
 // diffResults requires two run results to describe the same simulated
-// execution. The segment-cache hit/miss counters are host-side
-// diagnostics that legitimately differ across tiers, so they are
-// normalized away before comparison.
+// execution.
 func diffResults(t *testing.T, label string, ref, got pasm.RunResult) {
 	t.Helper()
-	ref.MemoHits, ref.MemoMisses = 0, 0
-	got.MemoHits, got.MemoMisses = 0, 0
 	if !reflect.DeepEqual(ref, got) {
 		t.Errorf("%s: run results differ:\nreference: %+v\ngot:       %+v", label, ref, got)
 	}
@@ -141,12 +134,12 @@ func diffResults(t *testing.T, label string, ref, got pasm.RunResult) {
 
 // TestInterpreterTierEquivalenceAllPrograms runs all generated
 // matrix-multiplication programs through the 3-way interpreter matrix
-// — dynamic reference, exec table, superinstructions + segment memo —
-// and requires identical cycle counts, per-PE clocks, region
-// breakdowns, instruction counts, results, and (event for event)
-// identical observability streams. The super tier additionally runs
-// with parallel host workers, so `go test -race` exercises the memo
-// layer's per-PE isolation.
+// — dynamic reference, exec table, superinstructions — and requires
+// identical cycle counts, per-PE clocks, region breakdowns,
+// instruction counts, results, and (event for event) identical
+// observability streams. The super tier additionally runs with
+// parallel host workers, so `go test -race` exercises the engine's
+// parallel initial advance.
 func TestInterpreterTierEquivalenceAllPrograms(t *testing.T) {
 	const n, p = 8, 4
 	a := Identity(n)
@@ -201,59 +194,5 @@ func TestSIMDTierEquivalenceFusedShape(t *testing.T) {
 		if !Equal(c, cRef) {
 			t.Errorf("%s: result matrices differ", tr)
 		}
-	}
-}
-
-// TestSegmentMemoReplayIdentity reruns the same MIMD program on one VM
-// so the second run replays segments recorded by the first, and
-// requires the replayed run to be indistinguishable from a fresh
-// memo-off execution.
-func TestSegmentMemoReplayIdentity(t *testing.T) {
-	const n, p = 16, 4
-	a := Identity(n)
-	b := Random(n, 0xFACE)
-	spec := Spec{N: n, P: p, Muls: 4, Mode: MIMD}
-	prog, l, err := Build(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := pasm.DefaultConfig()
-	if need := l.MemBytes(); cfg.PEMemBytes < need {
-		cfg.PEMemBytes = need
-	}
-	vm, err := pasm.NewVM(cfg, l.P)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.EstablishShift(); err != nil {
-		t.Fatal(err)
-	}
-	var first pasm.RunResult
-	for run := 0; run < 3; run++ {
-		if err := Load(vm, l, a, b); err != nil {
-			t.Fatal(err)
-		}
-		res, err := vm.RunMIMD(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := ReadC(vm, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !Equal(c, Reference(a, b)) {
-			t.Fatalf("run %d: wrong product", run)
-		}
-		res.MemoHits, res.MemoMisses = 0, 0
-		if run == 0 {
-			first = res
-			continue
-		}
-		if !reflect.DeepEqual(res, first) {
-			t.Errorf("run %d diverged from run 0:\nfirst: %+v\ngot:   %+v", run, first, res)
-		}
-	}
-	if vm.MemoHits() == 0 {
-		t.Error("segment cache never replayed across identical reruns")
 	}
 }

@@ -189,3 +189,79 @@ func TestEngineAccountingProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEqualClockDeviceOpsLowestIndexFirst pins the engine's tie-break:
+// device operations at the same clock are performed in ascending PE
+// index order. PEs 0-2 run identical code, so they drop their static
+// circuits and ask for a circuit to PE 3 at the same clock; only one
+// circuit can reach a line, so the others are refused until the
+// holder sends its index byte and releases. PE 3 must therefore
+// receive 0, 1, 2 in that order.
+func TestEqualClockDeviceOpsLowestIndexFirst(t *testing.T) {
+	const p = 4
+	prog := m68k.MustAssemble(`
+	movea.l	#$F10000, a0
+	movea.l	#$F10002, a1
+	move.w	$100, d0	; PE index
+	cmpi.w	#3, d0
+	beq	sink
+	move.w	#$FFFF, 8(a0)	; drop the static circuit
+	move.w	#3, 8(a0)	; circuit to PE 3 (conflicts: one at a time)
+	move.b	d0, (a0)
+	move.w	#$FFFF, 8(a0)	; release it for the next PE
+	halt
+sink:	move.b	(a1), d1
+	move.b	(a1), d2
+	move.b	(a1), d3
+	move.b	d1, $200
+	move.b	d2, $201
+	move.b	d3, $202
+	halt
+	`)
+	vm := newTestVM(t, p, nil)
+	for i, pe := range vm.PEs {
+		if err := pe.Mem.WriteWords(0x100, []uint16{uint16(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := vm.RunMIMD(prog); err != nil {
+		t.Fatal(err)
+	}
+	var got [3]uint32
+	for i := range got {
+		got[i], _ = vm.PEs[3].Mem.Read(0x200+uint32(i), m68k.Byte)
+	}
+	if got != [3]uint32{0, 1, 2} {
+		t.Errorf("PE 3 received senders %v, want [0 1 2] (index order)", got)
+	}
+}
+
+// TestDeadlockListsWaitersAscending pins the deadlock report: the
+// waiting PEs are listed in ascending index order, whatever order they
+// blocked in. PE 3 blocks on its receive register first; PE 1 spins
+// before blocking on its own; the even PEs halt without sending.
+func TestDeadlockListsWaitersAscending(t *testing.T) {
+	prog := m68k.MustAssemble(`
+	movea.l	#$F10002, a1
+	move.w	$100, d0	; PE index
+	btst	#0, d0
+	beq	done
+	cmpi.w	#3, d0
+	beq	recv
+	move.w	#200, d2
+spin:	dbra	d2, spin
+recv:	move.b	(a1), d1	; nobody sends: blocks forever
+done:	halt
+	`)
+	vm := newTestVM(t, 4, nil)
+	for i, pe := range vm.PEs {
+		if err := pe.Mem.WriteWords(0x100, []uint16{uint16(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := vm.RunMIMD(prog)
+	const want = "pasm: deadlock: PEs [1 3] waiting with no pending events"
+	if err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
+	}
+}

@@ -57,16 +57,14 @@ type Config struct {
 	// instruction times under study). Zero means faithful behaviour.
 	FixedMulCycles int64
 
-	// Interpreter-tier selection. All false (the default) runs the
-	// fastest configuration: superinstruction dispatch plus MIMD
-	// segment memoization. DisableSuperinstructions drops to per-Step
-	// exec-table dispatch, DisableExecTable to the dynamic reference
-	// interpreter, and DisableSegmentMemo turns off the MIMD/S-MIMD
-	// segment cache. Simulated results are identical for every
-	// combination — these are host-side A/B verification knobs only.
+	// Interpreter-tier selection. Both false (the default) runs the
+	// fastest configuration, superinstruction dispatch.
+	// DisableSuperinstructions drops to per-Step exec-table dispatch,
+	// and DisableExecTable to the dynamic reference interpreter.
+	// Simulated results are identical for every combination — these
+	// are host-side A/B verification knobs only.
 	DisableExecTable         bool
 	DisableSuperinstructions bool
-	DisableSegmentMemo       bool
 
 	// ClockHz converts cycles to seconds (prototype: 8 MHz MC68000s).
 	ClockHz float64
@@ -182,9 +180,6 @@ type VM struct {
 	MCs []*MC
 	net *netState
 	bar *barrier
-	// memo is the MIMD/S-MIMD segment cache (see memo.go), built
-	// lazily per program and kept across runs.
-	memo *memoState
 
 	// TraceHook, when non-nil, is called for every CPU a run creates
 	// ("PE0".."PEn", "MC0"..), so callers can attach tracers before
@@ -331,10 +326,9 @@ type RunResult struct {
 	// controller time lost to a full queue (back-pressure).
 	MCStallCycles    int64
 	QueueStallCycles int64
-	// MemoHits and MemoMisses count the MIMD/S-MIMD computation
-	// segments this run replayed from, respectively executed through,
-	// the segment cache (both zero when the cache is disabled or the
-	// run has no asynchronous sections).
+	// MemoHits and MemoMisses are retired: they counted the segment
+	// cache the asynchronous engine no longer has, and are always 0.
+	// They remain so existing readers of RunResult keep compiling.
 	MemoHits, MemoMisses int64
 	// BarrierRounds counts completed barrier synchronizations.
 	BarrierRounds int

@@ -2,21 +2,11 @@ package pasm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/m68k"
-)
-
-// procState is one PE's scheduling state in the MIMD engine.
-type procState uint8
-
-const (
-	stRun  procState = iota // executing pure computation
-	stAtOp                  // stopped at a device operation, eligible to perform it
-	stWait                  // device refused; waiting for an enabling event
-	stHalt                  // HALT executed
-	stPark                  // jumped into the SIMD space (mixed-mode rejoin)
 )
 
 // RunMIMD executes the same program asynchronously on every PE of the
@@ -48,7 +38,6 @@ func (vm *VM) RunMIMD(prog *m68k.Program) (RunResult, error) {
 	}
 	vm.wireObsPEs(cpus)
 
-	memoH, memoM := vm.MemoHits(), vm.MemoMisses()
 	if err := vm.runDES(cpus, false); err != nil {
 		return RunResult{}, err
 	}
@@ -69,11 +58,13 @@ func (vm *VM) RunMIMD(prog *m68k.Program) (RunResult, error) {
 	res.BarrierRounds = vm.bar.rounds
 	res.NetTransfers = vm.net.transfers
 	res.NetReconfigs = vm.net.reconfigs
-	res.MemoHits = vm.MemoHits() - memoH
-	res.MemoMisses = vm.MemoMisses() - memoM
 	vm.finishObsPEs(cpus)
 	return res, nil
 }
+
+// sliceSteps is the step budget of one CPU.Run call in the engine's
+// segment runs; the MaxSteps runaway guard is charged per slice.
+const sliceSteps = 1 << 16
 
 // runDES is the conservative discrete-event engine shared by the MIMD
 // mode and the mixed-mode MIMD sections of SIMD programs.
@@ -82,11 +73,19 @@ func (vm *VM) RunMIMD(prog *m68k.Program) (RunResult, error) {
 // device operations — network transfer registers, status polls,
 // barrier reads — are performed in global timestamp order: CPUs are
 // advanced with their device bus disarmed so they stop just before the
-// operation, and the operation with the smallest clock is performed
-// first. Wait times are charged by the devices themselves from
-// timestamps (data arrival, register-free, barrier release), so the
-// blocked instruction's accounting region absorbs the wait — exactly
-// the attribution the paper's Figures 8-10 break out.
+// operation, and the operation with the smallest (clock, PE index) is
+// performed first. Wait times are charged by the devices themselves
+// from timestamps (data arrival, register-free, barrier release), so
+// the blocked instruction's accounting region absorbs the wait —
+// exactly the attribution the paper's Figures 8-10 break out.
+//
+// The engine's cost is proportional to events. PEs stopped at a
+// device operation sit in a min-heap keyed by (clock, index); a PE the
+// device refuses joins the waiter list, and every completed operation
+// moves all waiters back into the heap (any of them may now proceed).
+// Only the PE whose operation just completed can have computation to
+// run, so after the initial advance each heap pop runs at most one
+// segment.
 //
 // With stopOnJump, a PE that jumps into the SIMD instruction space
 // (the MIMD-to-SIMD mode switch of paper Section 3) parks, and the
@@ -94,7 +93,6 @@ func (vm *VM) RunMIMD(prog *m68k.Program) (RunResult, error) {
 // jump is an error and only HALT terminates a PE.
 func (vm *VM) runDES(cpus []*m68k.CPU, stopOnJump bool) error {
 	active := -1
-	state := make([]procState, len(cpus))
 	for _, pe := range vm.PEs {
 		pe.dev.armed = &active
 	}
@@ -104,20 +102,20 @@ func (vm *VM) runDES(cpus []*m68k.CPU, stopOnJump bool) error {
 		}
 	}()
 
-	terminal := func(s procState) bool { return s == stHalt || s == stPark }
-	classify := func(i int, st m68k.Status) error {
+	var ops opHeap
+	var waiters []int
+	// settle files PE i by the status its segment or device operation
+	// stopped with: at a device operation it enters the heap, halted
+	// or parked it leaves the simulation.
+	settle := func(i int, st m68k.Status) error {
 		switch st {
-		case m68k.StatusOK:
-			state[i] = stRun
 		case m68k.StatusBlocked:
-			state[i] = stAtOp
+			ops.push(cpus[i].Clock, i)
 		case m68k.StatusHalted:
-			state[i] = stHalt
 		case m68k.StatusSIMDJump:
 			if !stopOnJump {
 				return fmt.Errorf("pasm: PE %d jumped into the SIMD space outside mixed-mode execution", i)
 			}
-			state[i] = stPark
 		case m68k.StatusBcast, m68k.StatusSetMask:
 			return fmt.Errorf("pasm: PE %d executed an MC-only instruction in MIMD mode", i)
 		default:
@@ -131,121 +129,144 @@ func (vm *VM) runDES(cpus []*m68k.CPU, stopOnJump bool) error {
 	// operation (or halt/park/error). The shared step budget is
 	// consumed atomically so parallel segments observe the same
 	// runaway guard as serial execution.
-	run := func(cpu *m68k.CPU) (m68k.Status, bool, int64) {
-		var slices int64
+	run := func(cpu *m68k.CPU) (m68k.Status, bool) {
 		for {
-			st := cpu.Run(memoSliceSteps)
-			slices++
-			if atomic.AddInt64(&total, memoSliceSteps) > vm.Cfg.MaxSteps {
-				return st, true, slices
+			st := cpu.Run(sliceSteps)
+			if atomic.AddInt64(&total, sliceSteps) > vm.Cfg.MaxSteps {
+				return st, true
 			}
 			if st != m68k.StatusOK {
-				return st, false, slices
+				return st, false
 			}
-			// Budget slice exhausted; keep running.
 		}
 	}
-	memo := vm.memoFor(cpus[0].Prog, len(cpus))
-	advance := func(i int, cpu *m68k.CPU) (m68k.Status, bool) {
-		if memo != nil {
-			return memo.advance(vm, i, cpu, &total, run)
-		}
-		st, overrun, _ := run(cpu)
-		return st, overrun
-	}
-	var runIdx []int
+	overrun := func() error { return fmt.Errorf("pasm: MIMD run exceeded %d steps", vm.Cfg.MaxSteps) }
+
+	// Advance every PE to its first device operation (devices
+	// disarmed: active == -1 matches no PE). The segments are
+	// independent — PEs share no memory and a disarmed device bus
+	// refuses access before touching any shared network or barrier
+	// state — so they may execute on separate host goroutines. Engine
+	// state is updated serially after the join, in PE index order,
+	// keeping the simulation byte-identical to serial execution.
 	sts := make([]m68k.Status, len(cpus))
-	overrun := make([]bool, len(cpus))
-	for {
-		// Phase 1: advance every running PE to its next device
-		// operation (devices disarmed: active == -1 matches no PE).
-		// The segments are independent — PEs share no memory and a
-		// disarmed device bus refuses access before touching any
-		// shared network or barrier state — so they may execute on
-		// separate host goroutines. All engine state (state[], total
-		// overrun, classification order) is updated serially after the
-		// join, in PE index order, keeping the simulation
-		// byte-identical to serial execution.
-		runIdx = runIdx[:0]
-		for i := range cpus {
-			if state[i] == stRun {
-				runIdx = append(runIdx, i)
-			}
-		}
-		if w := vm.Cfg.HostWorkers; w > 1 && len(runIdx) > 1 {
-			if w > len(runIdx) {
-				w = len(runIdx)
-			}
-			var next int64 = -1
-			var wg sync.WaitGroup
-			for j := 0; j < w; j++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						k := int(atomic.AddInt64(&next, 1))
-						if k >= len(runIdx) {
-							return
-						}
-						sts[k], overrun[k] = advance(runIdx[k], cpus[runIdx[k]])
+	over := make([]bool, len(cpus))
+	if w := min(vm.Cfg.HostWorkers, len(cpus)); w > 1 {
+		var next int64 = -1
+		var wg sync.WaitGroup
+		for j := 0; j < w; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					k := int(atomic.AddInt64(&next, 1))
+					if k >= len(cpus) {
+						return
 					}
-				}()
-			}
-			wg.Wait()
-		} else {
-			for k, i := range runIdx {
-				sts[k], overrun[k] = advance(i, cpus[i])
-			}
-		}
-		live := false
-		for k, i := range runIdx {
-			if overrun[k] {
-				return fmt.Errorf("pasm: MIMD run exceeded %d steps", vm.Cfg.MaxSteps)
-			}
-			if err := classify(i, sts[k]); err != nil {
-				return err
-			}
-		}
-		for i := range cpus {
-			if !terminal(state[i]) {
-				live = true
-				break
-			}
-		}
-		if !live {
-			return nil // every PE halted or parked
-		}
-		// Phase 2: perform the globally earliest pending device op.
-		pick := -1
-		for i := range cpus {
-			if state[i] == stAtOp && (pick == -1 || cpus[i].Clock < cpus[pick].Clock) {
-				pick = i
-			}
-		}
-		if pick == -1 {
-			waiters := []int{}
-			for i := range cpus {
-				if state[i] == stWait {
-					waiters = append(waiters, i)
+					sts[k], over[k] = run(cpus[k])
 				}
-			}
-			return fmt.Errorf("pasm: deadlock: PEs %v waiting with no pending events", waiters)
+			}()
 		}
+		wg.Wait()
+	} else {
+		for i, cpu := range cpus {
+			sts[i], over[i] = run(cpu)
+		}
+	}
+	for i := range cpus {
+		if over[i] {
+			return overrun()
+		}
+		if err := settle(i, sts[i]); err != nil {
+			return err
+		}
+	}
+
+	for ops.len() > 0 {
+		pick := ops.pop()
 		active = pick
 		st := cpus[pick].Step()
 		active = -1
 		if st == m68k.StatusBlocked {
-			state[pick] = stWait
+			waiters = append(waiters, pick)
 			continue
 		}
-		if err := classify(pick, st); err != nil {
-			return err
+		if st != m68k.StatusOK {
+			if err := settle(pick, st); err != nil {
+				return err
+			}
 		}
 		// A completed device operation may enable any waiter.
-		for i := range state {
-			if state[i] == stWait {
-				state[i] = stAtOp
+		for _, i := range waiters {
+			ops.push(cpus[i].Clock, i)
+		}
+		waiters = waiters[:0]
+		if st == m68k.StatusOK {
+			st, over := run(cpus[pick])
+			if over {
+				return overrun()
+			}
+			if err := settle(pick, st); err != nil {
+				return err
 			}
 		}
 	}
+	if len(waiters) > 0 {
+		slices.Sort(waiters)
+		return fmt.Errorf("pasm: deadlock: PEs %v waiting with no pending events", waiters)
+	}
+	return nil // every PE halted or parked
+}
+
+// opHeap is the engine's queue of PEs stopped at a device operation,
+// a binary min-heap ordered by (clock, PE index): among operations at
+// the same clock the lowest-numbered PE goes first.
+type opHeap struct{ h []opKey }
+
+type opKey struct {
+	clock int64
+	pe    int
+}
+
+func (k opKey) before(o opKey) bool {
+	return k.clock < o.clock || k.clock == o.clock && k.pe < o.pe
+}
+
+func (q *opHeap) len() int { return len(q.h) }
+
+func (q *opHeap) push(clock int64, pe int) {
+	h := append(q.h, opKey{clock, pe})
+	for j := len(h) - 1; j > 0; {
+		parent := (j - 1) / 2
+		if !h[j].before(h[parent]) {
+			break
+		}
+		h[j], h[parent] = h[parent], h[j]
+		j = parent
+	}
+	q.h = h
+}
+
+func (q *opHeap) pop() int {
+	h := q.h
+	top := h[0].pe
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for j := 0; ; {
+		l := 2*j + 1
+		if l >= n {
+			break
+		}
+		if r := l + 1; r < n && h[r].before(h[l]) {
+			l = r
+		}
+		if !h[l].before(h[j]) {
+			break
+		}
+		h[j], h[l] = h[l], h[j]
+		j = l
+	}
+	q.h = h
+	return top
 }

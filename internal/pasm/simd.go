@@ -96,7 +96,6 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 
 	var mcSteps int64
 	var mcStall, peStarve int64
-	memoH, memoM := vm.MemoHits(), vm.MemoMisses()
 	for {
 		// Advance every live MC to its next BCAST (or halt).
 		anyLive := false
@@ -253,8 +252,6 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 	}
 	res.MCStallCycles = mcStall
 	res.PEStarveCycles = peStarve
-	res.MemoHits = vm.MemoHits() - memoH
-	res.MemoMisses = vm.MemoMisses() - memoM
 	res.BarrierRounds = vm.bar.rounds
 	res.NetTransfers = vm.net.transfers
 	res.NetReconfigs = vm.net.reconfigs

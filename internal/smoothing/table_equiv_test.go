@@ -35,10 +35,8 @@ func (tr tier) apply(cfg *pasm.Config) {
 	switch tr {
 	case tierReference:
 		cfg.DisableExecTable = true
-		cfg.DisableSegmentMemo = true
 	case tierTable:
 		cfg.DisableSuperinstructions = true
-		cfg.DisableSegmentMemo = true
 	}
 }
 
@@ -83,11 +81,11 @@ func executeWith(t *testing.T, spec Spec, img Image, tr tier, workers int) (pasm
 
 // TestInterpreterTierEquivalenceSmoothing runs every smoothing
 // program variant through the 3-way interpreter matrix — dynamic
-// reference, exec table, superinstructions + segment memo — and
-// requires identical run results, identical output images, and
-// event-for-event identical observability streams. The super tier
-// runs with parallel host workers so `go test -race` exercises the
-// memo layer's per-PE isolation.
+// reference, exec table, superinstructions — and requires identical
+// run results, identical output images, and event-for-event identical
+// observability streams. The super tier runs with parallel host
+// workers so `go test -race` exercises the engine's parallel initial
+// advance.
 func TestInterpreterTierEquivalenceSmoothing(t *testing.T) {
 	const h, w, p = 8, 16, 4
 	img := RandomImage(h, w, 0xFACE)
@@ -103,7 +101,6 @@ func TestInterpreterTierEquivalenceSmoothing(t *testing.T) {
 				workers = 4
 			}
 			res, out, rec := executeWith(t, spec, img, tr, workers)
-			res.MemoHits, res.MemoMisses = 0, 0
 			if !Equal(out, want) {
 				t.Errorf("%v/%v: output is wrong", mode, tr)
 			}

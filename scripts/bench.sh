@@ -15,7 +15,7 @@
 # baseline's simulated numbers exactly.
 #
 # The `interp` mode measures per-row simulation-only MIPS for each
-# interpreter tier (reference / exec-table / superinstructions+memo)
+# interpreter tier (reference / exec-table / superinstructions)
 # via cmd/interpbench and writes BENCH_interp.json; with a third
 # argument it additionally fails if the super tier's speedup ratios
 # regressed below that recorded document (the `make bench-interp` CI
