@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test perfbench-test race cover ci bench bench-json bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke bench-service bench-cluster bench-partition bench-slo report
+.PHONY: all build vet test perfbench-test race cover ci bench bench-json bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke bench-partition bench-slo report
 
 all: ci
 
@@ -92,30 +92,13 @@ slo-smoke:
 bench-slo:
 	$(GO) run ./scripts/slobench -out BENCH_slo.json
 
-# Cluster serving benchmark: the loadgen workload through pasmgw with
-# 1 vs 3 replicas, recording latency, hit rate, and peer fills
-# (writes BENCH_cluster.json).
-bench-cluster:
-	$(GO) run ./scripts/clusterbench -out BENCH_cluster.json
-
-# Serving benchmark: throughput and latency percentiles for cold-miss
-# vs cache-hit requests (writes BENCH_service.json).
-bench-service:
-	$(GO) build -o /tmp/pasmd.bench ./cmd/pasmd
-	/tmp/pasmd.bench -addr 127.0.0.1:0 -addr-file /tmp/pasmd.bench.addr \
-		-queue 128 -workers 2 & \
-	sleep 1 && \
-	$(GO) run ./scripts/loadgen -addr "$$(cat /tmp/pasmd.bench.addr)" \
-		-c 4 -n 40 -out BENCH_service.json; \
-	status=$$?; kill %1 2>/dev/null; rm -f /tmp/pasmd.bench /tmp/pasmd.bench.addr; exit $$status
-
 # Quick wall-clock + simulated-cycle baseline (writes BENCH_baseline.json).
 bench-json:
 	scripts/bench.sh
 
 # Partitioned co-scheduling benchmark: the ext-partition sweep on a
-# 64-PE machine — mixed-size job storm under each scheduling policy vs
-# the serial whole-machine baseline (writes BENCH_partition.json).
+# 64-PE machine — a mixed-size job storm packed first-fit vs the serial
+# whole-machine baseline (writes BENCH_partition.json).
 bench-partition:
 	scripts/bench.sh partition
 
@@ -128,7 +111,7 @@ bench:
 # steady state.
 bench-smoke:
 	$(GO) test -run TestSuperPathZeroAllocs -count=1 \
-		-bench 'BenchmarkInterpreter(Table|Super)' -benchtime 100x -benchmem \
+		-bench 'BenchmarkInterpreterSuper' -benchtime 100x -benchmem \
 		./internal/m68k/
 
 # Interpreter-tier regression gate: remeasure the BENCH_interp.json

@@ -3,7 +3,7 @@
 // BENCH_interp.json.
 //
 // For every selected fig6/fig7 row it runs the generated program on
-// each tier — dynamic reference, exec-table, superinstructions —
+// each tier — dynamic reference and superinstructions —
 // timing only the simulation itself (program build, operand load, and
 // result readback are excluded; they are identical across tiers and
 // amortized once per request on the serving path).
@@ -40,7 +40,7 @@ const Schema = "interpbench/v1"
 // from ~9x to ~1x, far through any plausible floor.
 const regressionMargin = 0.6
 
-var tiers = []string{"reference", "table", "super"}
+var tiers = []string{"reference", "super"}
 
 // Row is one measured matmul configuration.
 type Row struct {
@@ -50,10 +50,9 @@ type Row struct {
 	Instrs int64 `json:"instrs"`
 	// MIPS maps tier name to simulated instructions per host second.
 	MIPS map[string]float64 `json:"mips"`
-	// SuperVsReference and SuperVsTable are the super tier's speedup
-	// ratios: MIPS[super]/MIPS[reference] and MIPS[super]/MIPS[table].
+	// SuperVsReference is the super tier's speedup ratio,
+	// MIPS[super]/MIPS[reference].
 	SuperVsReference float64 `json:"super_vs_reference"`
-	SuperVsTable     float64 `json:"super_vs_table"`
 }
 
 // Doc is the BENCH_interp.json document.
@@ -81,21 +80,11 @@ var rows = []struct {
 	{"fig7/muls=30/S-MIMD", matmul.Spec{N: 64, P: 4, Muls: 30, Mode: matmul.SMIMD}},
 }
 
-func configFor(tier string) pasm.Config {
-	cfg := pasm.DefaultConfig()
-	switch tier {
-	case "reference":
-		cfg.DisableExecTable = true
-	case "table":
-		cfg.DisableSuperinstructions = true
-	}
-	return cfg
-}
-
 // simulate runs spec once on the tier and returns the simulation-only
 // host seconds and the simulated instruction count.
 func simulate(tier string, spec matmul.Spec, a, b matmul.Matrix) (float64, int64, error) {
-	cfg := configFor(tier)
+	cfg := pasm.DefaultConfig()
+	cfg.DisableExecTable = tier == "reference"
 	prog, l, err := matmul.Build(spec)
 	if err != nil {
 		return 0, 0, err
@@ -160,11 +149,9 @@ func measure(reps int) (*Doc, error) {
 			row.MIPS[tier] = best
 		}
 		row.SuperVsReference = row.MIPS["super"] / row.MIPS["reference"]
-		row.SuperVsTable = row.MIPS["super"] / row.MIPS["table"]
 		doc.Rows = append(doc.Rows, row)
-		fmt.Fprintf(os.Stderr, "%-20s ref=%8.2f table=%8.2f super=%8.2f MIPS  (super/ref %.2fx, super/table %.2fx)\n",
-			r.name, row.MIPS["reference"], row.MIPS["table"], row.MIPS["super"],
-			row.SuperVsReference, row.SuperVsTable)
+		fmt.Fprintf(os.Stderr, "%-20s ref=%8.2f super=%8.2f MIPS  (super/ref %.2fx)\n",
+			r.name, row.MIPS["reference"], row.MIPS["super"], row.SuperVsReference)
 	}
 	return doc, nil
 }

@@ -79,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonPath := fs.String("json", "", "write simulated metrics and host timings to this file as JSON (\"-\" for stdout, suppressing tables)")
 	hostTimings := fs.Bool("host-timings", true, "include host wall-clock and parallelism in the -json document (disable for byte-reproducible output)")
 	remote := fs.String("remote", "", "submit the spec to a pasmd daemon at `addr` instead of simulating locally")
-	interp := fs.String("interp", "super", "interpreter tier: super (superinstructions), table (exec-table dispatch), reference (dynamic dispatch); simulated results are identical")
+	interp := fs.String("interp", "super", "interpreter tier: super (superinstructions) or reference (dynamic dispatch); simulated results are identical")
 	metrics := fs.Bool("metrics", false, "aggregate observability metrics per experiment (adds obs/ keys to -json summaries; registry dump on stderr)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace of one representative S/MIMD cell to `file` (load in ui.perfetto.dev)")
 	cpuprofile := fs.String("cpuprofile", "", "write a host CPU profile to `file`")
@@ -126,12 +126,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *interp {
 	case "super":
 		// Default: all tiers enabled.
-	case "table":
-		opts.Config.DisableSuperinstructions = true
 	case "reference":
 		opts.Config.DisableExecTable = true
 	default:
-		fmt.Fprintf(stderr, "pasmbench: unknown -interp tier %q (want super, table, or reference)\n", *interp)
+		fmt.Fprintf(stderr, "pasmbench: unknown -interp tier %q (want super or reference)\n", *interp)
 		return 2
 	}
 	opts.InterpTier = *interp

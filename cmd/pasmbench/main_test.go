@@ -62,12 +62,12 @@ func TestInterpTierInReport(t *testing.T) {
 	if sup.Interp.MemoHits != 0 || sup.Interp.MemoMisses != 0 {
 		t.Errorf("super run: retired memo counters nonzero: %+v", sup.Interp)
 	}
-	tab := get("table")
-	if tab.Interp == nil || tab.Interp.Tier != "table" {
-		t.Fatalf("table run: interp = %+v", tab.Interp)
+	ref := get("reference")
+	if ref.Interp == nil || ref.Interp.Tier != "reference" {
+		t.Fatalf("reference run: interp = %+v", ref.Interp)
 	}
-	if tab.Interp.MemoHits != 0 || tab.Interp.MemoMisses != 0 {
-		t.Errorf("table run: retired memo counters nonzero: %+v", tab.Interp)
+	if ref.Interp.MemoHits != 0 || ref.Interp.MemoMisses != 0 {
+		t.Errorf("reference run: retired memo counters nonzero: %+v", ref.Interp)
 	}
 }
 

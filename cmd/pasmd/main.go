@@ -13,7 +13,7 @@
 //	      [-queue 64] [-workers 2] [-parallel N]
 //	      [-sched fcfs|sjf] [-classes "interactive=50,batch=0"]
 //	      [-starve-limit 8] [-admit-rate 0] [-admit-burst 8]
-//	      [-machine-pes 0] [-policy firstfit]
+//	      [-machine-pes 0]
 //	      [-cache-entries 256] [-cache-bytes N]
 //	      [-fill-secret SECRET]
 //	      [-trace-sample 0] [-trace-ring 64] [-debug-addr ADDR]
@@ -39,8 +39,8 @@
 // fixed worker pool, jobs are packed onto subcube partitions of one
 // shared machine of that many PEs (a power of two up to 1024). Each
 // job runs inside a partition of its spec's pes — results are
-// byte-identical to the classic path — and -policy picks which
-// pending job gets a freed partition (firstfit, bestfit, sizeaware).
+// byte-identical to the classic path — and a freed partition goes to
+// the earliest-arrived pending job that fits.
 // Partition occupancy and fragmentation appear under "partition/" in
 // /metrics. 0 (the default) keeps the classic worker pool.
 //
@@ -116,7 +116,6 @@ func run() int {
 	queue := flag.Int("queue", 64, "max queued (admitted but unstarted) jobs; overload beyond this gets 503")
 	workers := flag.Int("workers", 2, "jobs executing concurrently (ignored in partition mode)")
 	machinePEs := flag.Int("machine-pes", 0, "partition mode: share one machine of this many PEs across jobs (0 = classic worker pool)")
-	policy := flag.String("policy", "firstfit", "partition scheduling policy: firstfit, bestfit, or sizeaware")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "host goroutines per job for experiment cell fan-out")
 	cacheEntries := flag.Int("cache-entries", 256, "result cache bound, entries (0 = unbounded)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "result cache bound, total value bytes (0 = unbounded)")
@@ -177,14 +176,7 @@ func run() int {
 	opts := experiments.DefaultOptions()
 	opts.Parallelism = *parallel
 	var machine *partition.Machine
-	var schedPolicy partition.Policy
 	if *machinePEs > 0 {
-		p, err := partition.ParsePolicy(*policy)
-		if err != nil {
-			logger.Error("bad policy", "err", err)
-			return 1
-		}
-		schedPolicy = p
 		machineCfg := opts.Config
 		machineCfg.NumPEs = *machinePEs
 		if machineCfg.PEsPerMC > *machinePEs {
@@ -196,13 +188,12 @@ func run() int {
 			return 1
 		}
 		machine = m
-		logger.Info("partition mode", "machine_pes", *machinePEs, "policy", *policy)
+		logger.Info("partition mode", "machine_pes", *machinePEs)
 	}
 	svc := service.New(service.Config{
 		QueueDepth:  *queue,
 		Workers:     *workers,
 		Machine:     machine,
-		Policy:      schedPolicy,
 		Sched:       schedMode,
 		StarveLimit: *starveLimit,
 		Classes:     classDefaults,

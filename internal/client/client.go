@@ -11,10 +11,6 @@
 // Retry-After hint honored as a floor. Permanent client errors (400,
 // 404, 422, ...) fail immediately. Retries mark themselves with the
 // X-Pasm-Attempt header so the server's /metrics counts them.
-// SubmitOptions.Hedge races a second identical submit after a delay;
-// hedging is safe because submission is idempotent — identical
-// in-flight specs coalesce server-side and finished ones are served
-// from the content-addressed cache.
 package client
 
 import (
@@ -125,7 +121,6 @@ type Client struct {
 
 	jitterState atomic.Uint64
 	retries     atomic.Int64
-	hedges      atomic.Int64
 }
 
 // New returns a client for addr ("host:port" or a full http URL).
@@ -178,9 +173,6 @@ func (c *Client) WithTracing(sample float64, seed uint64) *Client {
 // Retries returns how many retry attempts this client has issued.
 func (c *Client) Retries() int64 { return c.retries.Load() }
 
-// Hedges returns how many hedged submits this client has launched.
-func (c *Client) Hedges() int64 { return c.hedges.Load() }
-
 // SubmitOptions tune one submission.
 type SubmitOptions struct {
 	// Deadline, when > 0, bounds the job's whole lifetime: admission,
@@ -190,11 +182,6 @@ type SubmitOptions struct {
 	// Wait, when > 0, asks the server to long-poll the job before
 	// responding, so small specs complete in one round trip.
 	Wait time.Duration
-	// Hedge, when > 0, launches a second identical submit if the first
-	// has not answered within this long, taking whichever answers
-	// first. Safe for any spec: submission is idempotent (coalescing +
-	// content-addressed cache).
-	Hedge time.Duration
 	// TraceHeader, when non-empty, rides the submit as the X-Pasm-Trace
 	// value — the gateway uses it to continue its own trace context
 	// into the replica. Empty falls back to the client's WithTracing
@@ -317,7 +304,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp.Body)
 	if err != nil {
 		return err
 	}
@@ -346,6 +333,27 @@ type rawResponse struct {
 	header http.Header
 }
 
+// maxResponseBytes bounds one response body the client reads. It equals
+// the server's default peer-fill bound (service.Config.MaxFillBytes,
+// 8 MiB), so any result document one pasmd instance would accept from
+// a peer also fits here; the largest report pasmbench writes (-full
+// -exp all,ext -json) is about 14 KB, so the bound is far above any
+// legitimate body.
+const maxResponseBytes = 8 << 20
+
+// readBody reads a response body, failing with an error that names the
+// limit rather than buffering a body past maxResponseBytes.
+func readBody(r io.Reader) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, maxResponseBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(data) > maxResponseBytes {
+		return nil, fmt.Errorf("client: response body exceeds %d bytes", maxResponseBytes)
+	}
+	return data, nil
+}
+
 func apiError(resp *http.Response, data []byte) error {
 	e := &APIError{Status: resp.StatusCode}
 	var body struct {
@@ -366,8 +374,7 @@ func apiError(resp *http.Response, data []byte) error {
 
 // Submit sends a spec and returns the job to poll. For cache hits the
 // returned job is already done; for coalesced submissions it is the
-// shared in-flight job. With opts.Hedge set, a stalled submit races a
-// second identical one.
+// shared in-flight job.
 func (c *Client) Submit(ctx context.Context, spec experiments.Spec, opts SubmitOptions) (service.JobStatus, error) {
 	req := service.SubmitRequest{Spec: spec, Class: opts.Class, SLOMs: opts.SLOMs, Client: opts.ClientID}
 	if opts.Deadline > 0 {
@@ -382,56 +389,9 @@ func (c *Client) Submit(ctx context.Context, spec experiments.Spec, opts SubmitO
 			trace = ctx2.Header()
 		}
 	}
-	if opts.Hedge > 0 {
-		return c.hedgedSubmit(ctx, req, opts.Hedge, trace)
-	}
 	var st service.JobStatus
 	err := c.doTraced(ctx, http.MethodPost, "/v1/jobs", req, &st, trace)
 	return st, err
-}
-
-// hedgedSubmit issues the submit, then launches one backup copy if no
-// answer arrived within hedge. First success wins; the loser's
-// response is discarded (both name the same job server-side, because
-// identical specs coalesce). Both failing returns the first error.
-func (c *Client) hedgedSubmit(ctx context.Context, req service.SubmitRequest, hedge time.Duration, trace string) (service.JobStatus, error) {
-	type result struct {
-		st  service.JobStatus
-		err error
-	}
-	ch := make(chan result, 2)
-	launch := func() {
-		go func() {
-			var st service.JobStatus
-			err := c.doTraced(ctx, http.MethodPost, "/v1/jobs", req, &st, trace)
-			ch <- result{st, err}
-		}()
-	}
-	launch()
-	outstanding := 1
-	timer := time.NewTimer(hedge)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			if r.err == nil {
-				return r.st, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if outstanding--; outstanding == 0 {
-				return service.JobStatus{}, firstErr
-			}
-		case <-timer.C:
-			c.hedges.Add(1)
-			launch()
-			outstanding++
-		case <-ctx.Done():
-			return service.JobStatus{}, ctx.Err()
-		}
-	}
 }
 
 // Job polls a job's status once.
@@ -533,7 +493,7 @@ func (c *Client) Fill(ctx context.Context, spec experiments.Spec, result []byte,
 		return false, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp.Body)
 	if err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -186,60 +189,6 @@ func TestBackoffGrowsAndHonorsCap(t *testing.T) {
 	}
 }
 
-// TestHedgedSubmit: when the first submit stalls, the hedge fires and
-// its answer is used; a fast first answer means no hedge at all.
-func TestHedgedSubmit(t *testing.T) {
-	var calls atomic.Int32
-	release := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			<-release // first request hangs until the test ends
-		}
-		fmt.Fprint(w, `{"id":"j9","state":"done"}`)
-	}))
-	defer srv.Close()
-	defer close(release)
-
-	c := New(srv.URL)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	st, err := c.Submit(ctx, spec1(), SubmitOptions{Hedge: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatalf("hedged submit: %v", err)
-	}
-	if st.ID != "j9" {
-		t.Errorf("job id = %q", st.ID)
-	}
-	if c.Hedges() != 1 {
-		t.Errorf("Hedges() = %d, want 1", c.Hedges())
-	}
-
-	// Fast path: server answers immediately, hedge timer never fires.
-	st, err = c.Submit(ctx, spec1(), SubmitOptions{Hedge: 10 * time.Second})
-	if err != nil || st.ID != "j9" {
-		t.Fatalf("fast submit: %v %v", st, err)
-	}
-	if c.Hedges() != 1 {
-		t.Errorf("fast path hedged: Hedges() = %d, want still 1", c.Hedges())
-	}
-}
-
-// TestHedgedSubmitBothFail: both copies failing returns the first
-// error instead of hanging.
-func TestHedgedSubmitBothFail(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(400)
-		fmt.Fprint(w, `{"error":"bad spec"}`)
-	}))
-	defer srv.Close()
-	c := New(srv.URL)
-	_, err := c.Submit(context.Background(), spec1(), SubmitOptions{Hedge: time.Millisecond})
-	var api *APIError
-	if !errors.As(err, &api) || api.Status != 400 {
-		t.Fatalf("err = %v, want 400", err)
-	}
-}
-
 // TestDeterministicJitter: two clients with the same seed draw the
 // same backoff sequence; different seeds diverge.
 func TestDeterministicJitter(t *testing.T) {
@@ -309,31 +258,6 @@ func TestBackoffAbortsOnDeadline(t *testing.T) {
 	_, err := c.Submit(ctx, spec1(), SubmitOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled after mid-wait cancel", err)
-	}
-}
-
-// TestHedgeWaitAbortsOnCancel: a hedged submit whose requests all hang
-// returns ctx.Err() as soon as the caller cancels.
-func TestHedgeWaitAbortsOnCancel(t *testing.T) {
-	release := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-release
-	}))
-	defer srv.Close()
-	defer close(release) // LIFO: release the handler before Close waits on it
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := New(srv.URL).Submit(ctx, spec1(), SubmitOptions{Hedge: time.Hour})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("canceled hedged submit took %s", d)
 	}
 }
 
@@ -431,5 +355,42 @@ func TestFill(t *testing.T) {
 	status.Store(http.StatusForbidden)
 	if _, err = cl.Fill(ctx, spec1(), []byte("x"), "pasm-sim/test"); err == nil {
 		t.Error("rejected Fill returned nil error")
+	}
+}
+
+// TestResponseBodyBound: both read paths — do (here via Result) and
+// Fill — accept a response body of exactly maxResponseBytes and fail
+// one byte past it with an error that names the limit.
+func TestResponseBodyBound(t *testing.T) {
+	var size atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(bytes.Repeat([]byte("x"), int(size.Load())))
+	}))
+	defer srv.Close()
+	c := New(srv.URL)
+	ctx := context.Background()
+	paths := map[string]func() error{
+		"result": func() error {
+			body, err := c.Result(ctx, "j1")
+			if err == nil && len(body) != int(size.Load()) {
+				t.Errorf("result: read %d bytes, want %d", len(body), size.Load())
+			}
+			return err
+		},
+		"fill": func() error {
+			_, err := c.Fill(ctx, spec1(), []byte("{}"), experiments.CodeVersion)
+			return err
+		},
+	}
+	for name, call := range paths {
+		size.Store(maxResponseBytes)
+		if err := call(); err != nil {
+			t.Errorf("%s: body of exactly the limit: %v", name, err)
+		}
+		size.Store(maxResponseBytes + 1)
+		err := call()
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxResponseBytes)) {
+			t.Errorf("%s: body past the limit: err = %v, want one naming %d", name, err, maxResponseBytes)
+		}
 	}
 }

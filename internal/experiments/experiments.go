@@ -45,7 +45,7 @@ type Options struct {
 	// events never enter the report, so byte-identity is untouched.
 	Capture *obs.Capture
 	// InterpTier names the interpreter tier the Config's Disable*
-	// knobs select ("super", "table", "reference"); informational
+	// knobs select ("super" or "reference"); informational
 	// only, surfaced in the report's Timings-gated fields. Empty means
 	// the default "super".
 	InterpTier string

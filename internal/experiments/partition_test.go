@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/partition"
 )
 
 // TestPartitionSweepShape: the co-scheduling sweep on the prototype
 // machine builds the two size classes that fit 16 PEs, beats (or ties)
-// the serial whole-machine baseline under every policy, and renders a
-// row per policy.
+// the serial whole-machine baseline, and renders the packed row.
 func TestPartitionSweepShape(t *testing.T) {
 	res, err := PartitionSweep(quickOpts())
 	if err != nil {
@@ -28,29 +25,24 @@ func TestPartitionSweepShape(t *testing.T) {
 			t.Errorf("class p=%d measured %d cycles", c.PEs, c.Cycles)
 		}
 	}
-	if len(res.Rows) != len(partition.Policies()) {
-		t.Fatalf("rows = %d, want one per policy", len(res.Rows))
+	if res.Makespan <= 0 || res.Makespan > res.SerialMakespan {
+		t.Errorf("makespan %d outside (0, serial %d]", res.Makespan, res.SerialMakespan)
 	}
-	for _, row := range res.Rows {
-		if row.Makespan <= 0 || row.Makespan > res.SerialMakespan {
-			t.Errorf("%s: makespan %d outside (0, serial %d]", row.Policy, row.Makespan, res.SerialMakespan)
-		}
-		if row.Speedup < 1 {
-			t.Errorf("%s: speedup %.2f < 1 (co-scheduling can never lose to serial)", row.Policy, row.Speedup)
-		}
-		if row.UtilizationPct <= 0 || row.UtilizationPct > 100 {
-			t.Errorf("%s: utilization %.1f%%", row.Policy, row.UtilizationPct)
-		}
+	if res.Speedup < 1 {
+		t.Errorf("speedup %.2f < 1 (co-scheduling can never lose to serial)", res.Speedup)
+	}
+	if res.UtilizationPct <= 0 || res.UtilizationPct > 100 {
+		t.Errorf("utilization %.1f%%", res.UtilizationPct)
 	}
 	out := res.Render()
-	for _, want := range []string{"firstfit", "bestfit", "sizeaware", "serial whole-machine baseline"} {
+	for _, want := range []string{"firstfit", "serial whole-machine baseline"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
 	sum := res.Summary()
 	for _, key := range []string{"machine/pes", "serial/makespan", "cell/p=4/cycles",
-		"policy/firstfit/makespan", "policy/bestfit/speedup", "policy/sizeaware/peak_frag_pct"} {
+		"policy/firstfit/makespan", "policy/firstfit/speedup", "policy/firstfit/peak_frag_pct"} {
 		if _, ok := sum[key]; !ok {
 			t.Errorf("summary missing %q", key)
 		}

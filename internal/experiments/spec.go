@@ -24,7 +24,8 @@ const SpecVersion = 2
 // results from the old code then miss instead of serving stale bytes.
 // v3: reports echo the machine size (schema pasmbench/v2.2).
 // v4: the segment cache is gone, so interp.memo_misses reads 0.
-const CodeVersion = "pasm-sim/4"
+// v5: ext-partition reports the first-fit schedule alone.
+const CodeVersion = "pasm-sim/5"
 
 // DefaultPEs is the machine size a spec that does not name one gets:
 // the 16-PE prototype every paper experiment models.

@@ -90,12 +90,6 @@ type CPU struct {
 	// against each other; production callers leave it false.
 	DisableExecTable bool
 
-	// DisableSuperinstructions forces Run (and the PASM lockstep
-	// executor) off the superinstruction tier and back onto
-	// per-Step exec-table dispatch. An A/B knob like
-	// DisableExecTable; production callers leave it false.
-	DisableSuperinstructions bool
-
 	// Trace, when non-nil, is called after every committed instruction
 	// with the instruction, the PC it executed at, the clock after it,
 	// and its cycle cost. Used by the trace package; nil costs nothing.
@@ -225,15 +219,7 @@ func ExecLockstep(cpus []*CPU, idx int, release int64) (maxClock int64, st Statu
 	c0 := cpus[0]
 	in := &c0.Prog.Instrs[idx]
 	var op *superOp
-	var e *execEntry
-	switch {
-	case c0.DisableExecTable:
-	case c0.DisableSuperinstructions:
-		if c0.tab == nil {
-			c0.tab = c0.Prog.table()
-		}
-		e = &c0.tab[idx]
-	default:
+	if !c0.DisableExecTable {
 		if c0.sup == nil {
 			c0.sup = c0.Prog.super()
 		}
@@ -251,9 +237,6 @@ func ExecLockstep(cpus []*CPU, idx int, release int64) (maxClock int64, st Statu
 			st = StatusError
 		case op != nil:
 			st = c.execSuperOp(op, c.PC, 0, c.PC+1)
-		case e != nil:
-			c.lastLoadWasDev = false
-			st = e.fn(c, in, e.base, 0, c.PC+1)
 		default:
 			st = c.exec(in, 0)
 		}
@@ -269,11 +252,11 @@ func ExecLockstep(cpus []*CPU, idx int, release int64) (maxClock int64, st Statu
 
 // Run executes up to maxSteps instructions, stopping early on any
 // non-OK status. It returns the last status (StatusOK means the step
-// budget was exhausted with the program still running). Unless a tier
-// knob disables it, execution goes through the superinstruction
-// engine; both paths are instruction-for-instruction equivalent.
+// budget was exhausted with the program still running). Execution goes
+// through the superinstruction engine unless DisableExecTable selects
+// the reference path; both are instruction-for-instruction equivalent.
 func (c *CPU) Run(maxSteps int64) Status {
-	if !c.DisableExecTable && !c.DisableSuperinstructions {
+	if !c.DisableExecTable {
 		return c.runSuper(maxSteps)
 	}
 	for i := int64(0); i < maxSteps; i++ {

@@ -284,10 +284,10 @@ k:	move.w  (a0)+, d0
 // memory's touched backing directly and must bail, not fault or write
 // into a stale slice, when a walk runs past it. Each program starts
 // its pointers inside the host-loaded backing (or with none at all)
-// and walks across several growth edges; every tier, and the super
-// tier in small budget slices, must match the reference Step path
-// (DisableExecTable) in registers, flags, clock, regions, instruction
-// count and every byte of memory.
+// and walks across several growth edges; the exec-table Step path, the
+// super tier and the super tier in small budget slices must match the
+// reference Step path (DisableExecTable) in registers, flags, clock,
+// regions, instruction count and every byte of memory.
 func TestSuperTierAcrossBackingEdge(t *testing.T) {
 	const size = 1 << 16
 	const iters = 0x1400 // 10 KiB per pointer: crosses the 4, 8 and 16 KiB edges
@@ -339,7 +339,6 @@ fill:	move.w  d3, -(a0)
 				c.Mem.RefreshStall = 2
 				c.FetchFromMem = true
 				c.DisableExecTable = !table
-				c.DisableSuperinstructions = !super
 				c.A[7] = c.Mem.Size() - 4
 				if tc.preload != 0 {
 					words := make([]uint16, 64)
@@ -352,7 +351,11 @@ fill:	move.w  d3, -(a0)
 				}
 				st := StatusOK
 				for st == StatusOK {
-					st = c.Run(slice)
+					if table && !super {
+						st = stepRun(c, slice)
+					} else {
+						st = c.Run(slice)
+					}
 				}
 				if st != StatusHalted {
 					t.Fatalf("status %v (err=%v)", st, c.Err)
@@ -393,4 +396,16 @@ fill:	move.w  d3, -(a0)
 			}
 		})
 	}
+}
+
+// stepRun executes up to n instructions one CPU.Step at a time: the
+// exec-table dispatch that the superinstruction tier falls back to and
+// that the PASM engines use to single-step MCs and device ops.
+func stepRun(c *CPU, n int64) Status {
+	for i := int64(0); i < n; i++ {
+		if st := c.Step(); st != StatusOK {
+			return st
+		}
+	}
+	return StatusOK
 }

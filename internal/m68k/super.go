@@ -12,7 +12,8 @@ package m68k
 // exec-table handler, so the tier is a strict refinement: cycle
 // counts, flags, memory traffic, refresh interference, device
 // blocking/retry, trace callbacks and error messages are identical to
-// the Step path, which the three-way differential tests prove.
+// the Step path, which the differential tests against the reference
+// path (DisableExecTable) prove.
 //
 // Data-dependent costs stay symbolic: MULU's 38+2*ones(source) time,
 // DBcc/Bcc branch outcomes, wait states and DRAM refresh are all
@@ -21,8 +22,8 @@ package m68k
 // at compile time.
 //
 // The tier is driven from CPU.Run (and the PASM lockstep executor via
-// ExecLockstep); CPU.Step is untouched. CPU.DisableSuperinstructions
-// forces Run back onto the per-Step path for A/B testing.
+// ExecLockstep); CPU.Step dispatches through the execution
+// table, which is also what the tier falls back to.
 
 // BasicBlock is one straight-line run found by the block scanner:
 // control enters only at Start and leaves only from End-1 (a device

@@ -26,7 +26,7 @@ rloop:	move.w  (a0)+, d0
 // benchRun measures steady-state interpretation of the kernel on one
 // CPU with DRAM timing enabled, the configuration the MIMD/SISD
 // experiment rows run under.
-func benchRun(b *testing.B, disableTable, disableSuper bool) {
+func benchRun(b *testing.B, disableTable bool) {
 	prog := MustAssemble(benchKernel)
 	mem := NewMemory(1 << 16)
 	mem.WaitStates = 1
@@ -35,7 +35,6 @@ func benchRun(b *testing.B, disableTable, disableSuper bool) {
 	c := NewCPU(prog, mem)
 	c.FetchFromMem = true
 	c.DisableExecTable = disableTable
-	c.DisableSuperinstructions = disableSuper
 	c.A[7] = 0x8000
 	if st := c.Run(1 << 20); st != StatusHalted {
 		b.Fatalf("warmup status %v (err=%v)", st, c.Err)
@@ -54,6 +53,5 @@ func benchRun(b *testing.B, disableTable, disableSuper bool) {
 	b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "mips")
 }
 
-func BenchmarkInterpreterReference(b *testing.B) { benchRun(b, true, true) }
-func BenchmarkInterpreterTable(b *testing.B)     { benchRun(b, false, true) }
-func BenchmarkInterpreterSuper(b *testing.B)     { benchRun(b, false, false) }
+func BenchmarkInterpreterReference(b *testing.B) { benchRun(b, true) }
+func BenchmarkInterpreterSuper(b *testing.B)     { benchRun(b, false) }

@@ -8,39 +8,27 @@ import (
 	"repro/internal/pasm"
 )
 
-// tier selects one of the three interpreter configurations under
-// differential test: the dynamic reference path, the pre-resolved
-// execution table, and the superinstruction tier.
+// tier selects one of the two interpreter configurations under
+// differential test: the dynamic reference path and the
+// superinstruction tier.
 type tier int
 
 const (
 	tierReference tier = iota
-	tierTable
 	tierSuper
 )
 
-var allTiers = []tier{tierReference, tierTable, tierSuper}
-
 func (tr tier) String() string {
-	switch tr {
-	case tierReference:
+	if tr == tierReference {
 		return "reference"
-	case tierTable:
-		return "table"
-	default:
-		return "super"
 	}
+	return "super"
 }
 
 // apply configures cfg for the tier the same way cmd/pasmbench's
 // -interp flag does.
 func (tr tier) apply(cfg *pasm.Config) {
-	switch tr {
-	case tierReference:
-		cfg.DisableExecTable = true
-	case tierTable:
-		cfg.DisableSuperinstructions = true
-	}
+	cfg.DisableExecTable = tr == tierReference
 }
 
 // executeWith runs one spec end to end on the given interpreter tier
@@ -133,8 +121,8 @@ func diffResults(t *testing.T, label string, ref, got pasm.RunResult) {
 }
 
 // TestInterpreterTierEquivalenceAllPrograms runs all generated
-// matrix-multiplication programs through the 3-way interpreter matrix
-// — dynamic reference, exec table, superinstructions — and requires
+// matrix-multiplication programs on the dynamic reference and
+// superinstruction tiers and requires
 // identical cycle counts, per-PE clocks, region breakdowns,
 // instruction counts, results, and (event for event) identical
 // observability streams. The super tier additionally runs with
@@ -151,18 +139,12 @@ func TestInterpreterTierEquivalenceAllPrograms(t *testing.T) {
 		if !Equal(cRef, want) {
 			t.Errorf("%v: reference result is wrong", mode)
 		}
-		for _, tr := range []tier{tierTable, tierSuper} {
-			workers := 1
-			if tr == tierSuper {
-				workers = 4
-			}
-			res, c, rec := executeWith(t, spec, a, b, tr, workers)
-			label := mode.String() + "/" + tr.String()
-			diffResults(t, label, resRef, res)
-			diffObs(t, label, obsRef, rec)
-			if !Equal(c, cRef) {
-				t.Errorf("%s: result matrices differ", label)
-			}
+		res, c, rec := executeWith(t, spec, a, b, tierSuper, 4)
+		label := mode.String() + "/super"
+		diffResults(t, label, resRef, res)
+		diffObs(t, label, obsRef, rec)
+		if !Equal(c, cRef) {
+			t.Errorf("%s: result matrices differ", label)
 		}
 	}
 }
@@ -188,11 +170,9 @@ func TestSIMDTierEquivalenceFusedShape(t *testing.T) {
 	if resRef.QueueStallCycles == 0 {
 		t.Fatal("queue never filled: the shape does not exercise full-queue stalls")
 	}
-	for _, tr := range []tier{tierTable, tierSuper} {
-		res, c := executeCfg(t, spec, a, b, tr, shallow)
-		diffResults(t, "SIMD/fused/"+tr.String(), resRef, res)
-		if !Equal(c, cRef) {
-			t.Errorf("%s: result matrices differ", tr)
-		}
+	res, c := executeCfg(t, spec, a, b, tierSuper, shallow)
+	diffResults(t, "SIMD/fused/super", resRef, res)
+	if !Equal(c, cRef) {
+		t.Error("super: result matrices differ")
 	}
 }

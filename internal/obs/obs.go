@@ -16,7 +16,8 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/m68k"
@@ -254,17 +255,21 @@ func (r *Recorder) Merged() []Event {
 	for _, u := range r.Units() {
 		out = append(out, u.Events()...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Clock != b.Clock {
-			return a.Clock < b.Clock
-		}
-		if a.Unit != b.Unit {
-			return a.Unit < b.Unit
-		}
-		return a.Seq < b.Seq
-	})
+	slices.SortFunc(out, compareEvents)
 	return out
+}
+
+// compareEvents orders events by (Clock, Unit, Seq). Seq counts a
+// unit's emissions, so no two events compare equal and the order is
+// total.
+func compareEvents(a, b Event) int {
+	if c := cmp.Compare(a.Clock, b.Clock); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Unit, b.Unit); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // Metrics returns the merge of every unit's registry in unit order:

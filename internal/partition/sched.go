@@ -1,48 +1,5 @@
 package partition
 
-import "fmt"
-
-// Policy selects which pending job a partition scheduler starts next
-// when free subcubes exist. All three are deterministic functions of
-// the arrival order and the allocator's free state, so a given job
-// storm schedules identically on every run.
-type Policy string
-
-const (
-	// PolicyFirstFit starts the earliest-arrived job that fits —
-	// FCFS with backfill: later small jobs run ahead of a large job
-	// that cannot be placed yet.
-	PolicyFirstFit Policy = "firstfit"
-	// PolicyBestFit starts the fitting job whose allocation wastes
-	// the least: it minimizes the gap between the chosen job's block
-	// order and the smallest free block that can hold it (fewest
-	// buddy splits, preserving large free subcubes), breaking ties by
-	// arrival.
-	PolicyBestFit Policy = "bestfit"
-	// PolicySizeAware schedules by size class, in the spirit of
-	// MASIM's partition-size-aware task queues: among classes with at
-	// least one fitting job it picks the class with the most pending
-	// demand (ties to the larger class), then the earliest job in it.
-	// Draining the deepest class keeps same-size blocks cycling
-	// through the same subcubes, which fights fragmentation.
-	PolicySizeAware Policy = "sizeaware"
-)
-
-// Policies lists the selectable policies.
-func Policies() []Policy {
-	return []Policy{PolicyFirstFit, PolicyBestFit, PolicySizeAware}
-}
-
-// ParsePolicy validates a policy name (e.g. from a -policy flag).
-func ParsePolicy(s string) (Policy, error) {
-	for _, p := range Policies() {
-		if s == string(p) {
-			return p, nil
-		}
-	}
-	return "", fmt.Errorf("partition: unknown policy %q (want firstfit, bestfit, or sizeaware)", s)
-}
-
 // Fitter answers fit probes against the current free state; both
 // *Buddy and *Machine implement it.
 type Fitter interface {
@@ -52,52 +9,17 @@ type Fitter interface {
 }
 
 // Pick returns the index into pending (partition sizes in arrival
-// order) of the job the policy starts next, or -1 when nothing
-// pending fits.
-func Pick(f Fitter, policy Policy, pending []int) int {
-	switch policy {
-	case PolicyBestFit:
-		best, bestGap := -1, 0
-		for i, pes := range pending {
-			order, ok := f.FitOrder(pes)
-			if !ok {
-				continue
-			}
-			gap := order - orderOf(blockFor(pes))
-			if best == -1 || gap < bestGap {
-				best, bestGap = i, gap
-			}
+// order) of the job a partition scheduler starts next, or -1 when
+// nothing pending fits. The rule is first fit: the earliest-arrived
+// job that fits, i.e. FCFS with backfill — later small jobs run ahead
+// of a large job that cannot be placed yet. It is a deterministic
+// function of the arrival order and the allocator's free state, so a
+// given job storm schedules identically on every run.
+func Pick(f Fitter, pending []int) int {
+	for i, pes := range pending {
+		if _, ok := f.FitOrder(pes); ok {
+			return i
 		}
-		return best
-	case PolicySizeAware:
-		demand := map[int]int{}
-		for _, pes := range pending {
-			demand[pes]++
-		}
-		bestClass, bestCount := 0, 0
-		for pes, count := range demand {
-			if _, ok := f.FitOrder(pes); !ok {
-				continue
-			}
-			if count > bestCount || (count == bestCount && pes > bestClass) {
-				bestClass, bestCount = pes, count
-			}
-		}
-		if bestCount == 0 {
-			return -1
-		}
-		for i, pes := range pending {
-			if pes == bestClass {
-				return i
-			}
-		}
-		return -1
-	default: // PolicyFirstFit
-		for i, pes := range pending {
-			if _, ok := f.FitOrder(pes); ok {
-				return i
-			}
-		}
-		return -1
 	}
+	return -1
 }

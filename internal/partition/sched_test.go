@@ -2,18 +2,6 @@ package partition
 
 import "testing"
 
-func TestParsePolicy(t *testing.T) {
-	for _, p := range Policies() {
-		got, err := ParsePolicy(string(p))
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", p, got, err)
-		}
-	}
-	if _, err := ParsePolicy("roundrobin"); err == nil {
-		t.Error("ParsePolicy accepted an unknown policy")
-	}
-}
-
 // fitState builds a buddy with the given blocks held, for driving
 // Pick against a known free state.
 func fitState(t *testing.T, total int, hold []int) *Buddy {
@@ -30,51 +18,10 @@ func TestPickFirstFit(t *testing.T) {
 	// fits, backfilling past the 16-PE job at the head.
 	b := fitState(t, 16, []int{8})
 	pending := []int{16, 4, 2, 8}
-	if got := Pick(b, PolicyFirstFit, pending); got != 1 {
+	if got := Pick(b, pending); got != 1 {
 		t.Errorf("Pick = %d, want 1 (earliest fitting job)", got)
 	}
-	if got := Pick(b, PolicyFirstFit, []int{16}); got != -1 {
+	if got := Pick(b, []int{16}); got != -1 {
 		t.Errorf("Pick = %d, want -1 when nothing fits", got)
-	}
-}
-
-func TestPickBestFit(t *testing.T) {
-	// Free blocks: one pair (6..7) and one 8-block (8..15). A 2-PE
-	// job fits the pair exactly (gap 0); a 4-PE job would split the
-	// 8-block (gap 1) — best fit prefers the exact pair even though
-	// the 4-PE job arrived first.
-	b := fitState(t, 16, []int{4, 2})
-	pending := []int{4, 2}
-	if got := Pick(b, PolicyBestFit, pending); got != 1 {
-		t.Errorf("Pick = %d, want 1 (the exactly-fitting pair)", got)
-	}
-	// Ties break by arrival: two 2-PE jobs, the first wins.
-	if got := Pick(b, PolicyBestFit, []int{2, 2}); got != 0 {
-		t.Errorf("tie Pick = %d, want 0", got)
-	}
-	if got := Pick(b, PolicyBestFit, []int{16}); got != -1 {
-		t.Errorf("Pick = %d, want -1 when nothing fits", got)
-	}
-}
-
-func TestPickSizeAware(t *testing.T) {
-	b := mustBuddy(t, 16)
-	// Class demand: three 2-PE jobs vs one 8-PE job; the deeper class
-	// wins even though the 8-PE job arrived first.
-	pending := []int{8, 2, 2, 2}
-	if got := Pick(b, PolicySizeAware, pending); got != 1 {
-		t.Errorf("Pick = %d, want 1 (earliest job of the deepest class)", got)
-	}
-	// Equal demand ties to the larger class.
-	if got := Pick(b, PolicySizeAware, []int{2, 8}); got != 1 {
-		t.Errorf("equal-demand Pick = %d, want 1 (larger class)", got)
-	}
-	// A class that cannot fit is skipped even if deepest.
-	full := fitState(t, 16, []int{8, 4})
-	if got := Pick(full, PolicySizeAware, []int{8, 8, 8, 2}); got != 3 {
-		t.Errorf("Pick = %d, want 3 (only the 2-PE class fits)", got)
-	}
-	if got := Pick(full, PolicySizeAware, []int{8, 8}); got != -1 {
-		t.Errorf("Pick = %d, want -1", got)
 	}
 }

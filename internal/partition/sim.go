@@ -9,8 +9,9 @@ import (
 // partition scheduler on the SIMULATED clock. Job durations come from
 // real standalone cell simulations — which the subcube isomorphism
 // makes exact for any placement — so packing those durations onto the
-// machine with a policy reproduces, deterministically, the timeline a
-// host-concurrent partitioned run would take. The ext-partition
+// machine with the first-fit scheduler (Pick) reproduces,
+// deterministically, the timeline a host-concurrent partitioned run
+// would take. The ext-partition
 // experiment and the partition benchmark are built on it.
 
 // SimJob is one job offered to the simulated scheduler.
@@ -39,10 +40,9 @@ type SimJobResult struct {
 	Wait int64 `json:"wait"`
 }
 
-// SimResult summarizes one policy's schedule of a job set.
+// SimResult summarizes the schedule of a job set.
 type SimResult struct {
-	Policy Policy         `json:"policy"`
-	Jobs   []SimJobResult `json:"jobs"`
+	Jobs []SimJobResult `json:"jobs"`
 	// Makespan is the finish time of the last job.
 	Makespan int64 `json:"makespan"`
 	// BusyPECycles sums PEs*Cycles over the jobs: the useful work.
@@ -57,11 +57,11 @@ type SimResult struct {
 	PeakFragmentation float64 `json:"peak_fragmentation"`
 }
 
-// Simulate schedules jobs onto a totalPEs machine under the given
-// policy and returns the resulting timeline. Fully deterministic:
-// ties in time break by submission order, and allocation always takes
-// the lowest free base.
-func Simulate(totalPEs int, policy Policy, jobs []SimJob) (SimResult, error) {
+// Simulate schedules jobs onto a totalPEs machine with Pick and
+// returns the resulting timeline. Fully deterministic: ties in time
+// break by submission order, and allocation always takes the lowest
+// free base.
+func Simulate(totalPEs int, jobs []SimJob) (SimResult, error) {
 	buddy, err := NewBuddy(totalPEs)
 	if err != nil {
 		return SimResult{}, err
@@ -89,7 +89,7 @@ func Simulate(totalPEs int, policy Policy, jobs []SimJob) (SimResult, error) {
 		base   int
 		finish int64
 	}
-	res := SimResult{Policy: policy, Jobs: make([]SimJobResult, len(jobs))}
+	res := SimResult{Jobs: make([]SimJobResult, len(jobs))}
 	var (
 		pending []int // job indices in arrival order
 		active  []running
@@ -136,15 +136,14 @@ func Simulate(totalPEs int, policy Policy, jobs []SimJob) (SimResult, error) {
 			next++
 		}
 
-		// Place as many pending jobs as the policy and free state
-		// allow.
+		// Place as many pending jobs as the free state allows.
 		sizes := make([]int, len(pending))
 		for {
 			sizes = sizes[:len(pending)]
 			for i, idx := range pending {
 				sizes[i] = jobs[idx].PEs
 			}
-			pick := Pick(buddy, policy, sizes)
+			pick := Pick(buddy, sizes)
 			if pick < 0 {
 				break
 			}

@@ -57,14 +57,11 @@ type Config struct {
 	// instruction times under study). Zero means faithful behaviour.
 	FixedMulCycles int64
 
-	// Interpreter-tier selection. Both false (the default) runs the
-	// fastest configuration, superinstruction dispatch.
-	// DisableSuperinstructions drops to per-Step exec-table dispatch,
-	// and DisableExecTable to the dynamic reference interpreter.
-	// Simulated results are identical for every combination — these
-	// are host-side A/B verification knobs only.
-	DisableExecTable         bool
-	DisableSuperinstructions bool
+	// DisableExecTable runs the dynamic reference interpreter instead
+	// of superinstruction dispatch (the default). Simulated results are
+	// identical either way; the reference path is the oracle the
+	// differential tests compare against.
+	DisableExecTable bool
 
 	// ClockHz converts cycles to seconds (prototype: 8 MHz MC68000s).
 	ClockHz float64

@@ -177,14 +177,14 @@ l1:	bcast   muls
 `
 
 // runMaskedRuns runs maskedRunsSrc on 16 PEs (4 MC groups) with a
-// 4-word Fetch Unit queue on the given tier, with rec attached (nil:
-// detached), and returns the result and every PE's stored registers.
-func runMaskedRuns(t *testing.T, refTier, tableTier bool, rec *obs.Recorder) (RunResult, []uint32) {
+// 4-word Fetch Unit queue on the reference tier (refTier) or the super
+// tier, with rec attached (nil: detached), and returns the result and
+// every PE's stored registers.
+func runMaskedRuns(t *testing.T, refTier bool, rec *obs.Recorder) (RunResult, []uint32) {
 	t.Helper()
 	vm := newTestVM(t, 16, func(c *Config) {
 		c.QueueDepthWords = 4
 		c.DisableExecTable = refTier
-		c.DisableSuperinstructions = tableTier
 		c.Obs = rec
 	})
 	masks := [][]uint16{{0x5, 0xA}, {0xE, 0x1}, {0x0, 0xF}, {0xF, 0x6}}
@@ -220,14 +220,10 @@ func runMaskedRuns(t *testing.T, refTier, tableTier bool, rec *obs.Recorder) (Ru
 // mid-program, fused MULU runs and a queue that fills must give the
 // same run result (regions, queue stalls and occupancy, starve
 // cycles), the same PE state and, with a recorder attached, the same
-// event stream and metrics on the reference, table and super tiers.
+// event stream and metrics on the reference and super tiers.
 // Detached, the super tier takes its fused-run replay over the masked
 // groups.
 func TestSIMDMaskedRunsTierEquivalence(t *testing.T) {
-	tiers := []struct {
-		name           string
-		ref, tableOnly bool
-	}{{"reference", true, false}, {"table", false, true}, {"super", false, false}}
 	for _, observed := range []bool{false, true} {
 		newRec := func() *obs.Recorder {
 			if !observed {
@@ -236,30 +232,28 @@ func TestSIMDMaskedRunsTierEquivalence(t *testing.T) {
 			return obs.New(obs.Config{Events: obs.AllKinds, Metrics: true})
 		}
 		refRec := newRec()
-		refRes, refRegs := runMaskedRuns(t, true, false, refRec)
+		refRes, refRegs := runMaskedRuns(t, true, refRec)
 		if refRes.QueueStallCycles == 0 {
 			t.Fatal("queue never filled")
 		}
 		if observed && !hasKind(refRec.Merged(), obs.KindLockstepWait) {
 			t.Fatal("no lockstep wait events recorded")
 		}
-		for _, tr := range tiers[1:] {
-			label := fmt.Sprintf("%s/observed=%v", tr.name, observed)
-			rec := newRec()
-			res, regs := runMaskedRuns(t, tr.ref, tr.tableOnly, rec)
-			if !reflect.DeepEqual(res, refRes) {
-				t.Errorf("%s: run results differ:\nreference: %+v\ngot:       %+v", label, refRes, res)
+		label := fmt.Sprintf("super/observed=%v", observed)
+		rec := newRec()
+		res, regs := runMaskedRuns(t, false, rec)
+		if !reflect.DeepEqual(res, refRes) {
+			t.Errorf("%s: run results differ:\nreference: %+v\ngot:       %+v", label, refRes, res)
+		}
+		if !reflect.DeepEqual(regs, refRegs) {
+			t.Errorf("%s: PE registers differ:\nreference: %x\ngot:       %x", label, refRegs, regs)
+		}
+		if observed {
+			if re, ge := refRec.Merged(), rec.Merged(); !reflect.DeepEqual(re, ge) {
+				t.Errorf("%s: event streams differ (%d vs %d events)", label, len(re), len(ge))
 			}
-			if !reflect.DeepEqual(regs, refRegs) {
-				t.Errorf("%s: PE registers differ:\nreference: %x\ngot:       %x", label, refRegs, regs)
-			}
-			if observed {
-				if re, ge := refRec.Merged(), rec.Merged(); !reflect.DeepEqual(re, ge) {
-					t.Errorf("%s: event streams differ (%d vs %d events)", label, len(re), len(ge))
-				}
-				if rm, gm := refRec.Metrics().Flatten(""), rec.Metrics().Flatten(""); !reflect.DeepEqual(rm, gm) {
-					t.Errorf("%s: metrics differ", label)
-				}
+			if rm, gm := refRec.Metrics().Flatten(""), rec.Metrics().Flatten(""); !reflect.DeepEqual(rm, gm) {
+				t.Errorf("%s: metrics differ", label)
 			}
 		}
 	}

@@ -27,7 +27,6 @@ func (vm *VM) RunMIMD(prog *m68k.Program) (RunResult, error) {
 		cpu.FetchFromMem = true
 		cpu.FixedMulCycles = vm.Cfg.FixedMulCycles
 		cpu.DisableExecTable = vm.Cfg.DisableExecTable
-		cpu.DisableSuperinstructions = vm.Cfg.DisableSuperinstructions
 		cpu.A[7] = pe.Mem.Size() - 4
 		pe.dev.bar = vm.bar
 		cpu.Dev = pe.dev

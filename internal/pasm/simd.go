@@ -44,7 +44,6 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 		mc := m68k.NewCPU(prog, vm.MCs[g].Mem)
 		mc.FetchFromMem = true
 		mc.DisableExecTable = vm.Cfg.DisableExecTable
-		mc.DisableSuperinstructions = vm.Cfg.DisableSuperinstructions
 		mc.A[7] = vm.MCs[g].Mem.Size() - 4
 		if vm.TraceHook != nil {
 			vm.TraceHook(fmt.Sprintf("MC%d", g), mc)
@@ -60,7 +59,6 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 		cpu.FetchFromMem = false // instructions arrive from the queue
 		cpu.FixedMulCycles = vm.Cfg.FixedMulCycles
 		cpu.DisableExecTable = vm.Cfg.DisableExecTable
-		cpu.DisableSuperinstructions = vm.Cfg.DisableSuperinstructions
 		pe.dev.bar = vm.bar
 		cpu.Dev = pe.dev
 		if vm.TraceHook != nil {
@@ -76,17 +74,18 @@ func (vm *VM) RunSIMD(prog *m68k.Program) (RunResult, error) {
 
 	// Fused MULU runs replay through the lockstep queue with closed-form
 	// arithmetic (lockstepMuluRun). They engage only when the
-	// superinstruction tier is active, nothing observes individual
-	// instructions, and every group's enabled PEs are live and untraced
-	// (fusable, recomputed whenever a group's PE set or state changes).
-	batchTier := !vm.Cfg.DisableExecTable && !vm.Cfg.DisableSuperinstructions && vm.Obs == nil
+	// superinstruction tier is active (not the DisableExecTable
+	// reference path), nothing observes individual instructions, and
+	// every group's enabled PEs are live and untraced (fusable,
+	// recomputed whenever a group's PE set or state changes).
+	superTier := !vm.Cfg.DisableExecTable && vm.Obs == nil
 	var tab m68k.BroadcastTable
-	if batchTier {
+	if superTier {
 		tab = prog.BroadcastTable()
 	}
 	fusable := false
 	refresh := func() {
-		fusable = batchTier
+		fusable = superTier
 		for g := range groups {
 			groups[g].rebuild(vm.MCs[g], pes)
 			fusable = fusable && groups[g].fused

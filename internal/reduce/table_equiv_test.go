@@ -8,36 +8,26 @@ import (
 	"repro/internal/pasm"
 )
 
-// tier selects one of the three interpreter configurations under
+// tier selects one of the two interpreter configurations under
 // differential test (see cmd/pasmbench's -interp flag).
 type tier int
 
 const (
 	tierReference tier = iota
-	tierTable
 	tierSuper
 )
 
-var allTiers = []tier{tierReference, tierTable, tierSuper}
+var allTiers = []tier{tierReference, tierSuper}
 
 func (tr tier) String() string {
-	switch tr {
-	case tierReference:
+	if tr == tierReference {
 		return "reference"
-	case tierTable:
-		return "table"
-	default:
-		return "super"
 	}
+	return "super"
 }
 
 func (tr tier) apply(cfg *pasm.Config) {
-	switch tr {
-	case tierReference:
-		cfg.DisableExecTable = true
-	case tierTable:
-		cfg.DisableSuperinstructions = true
-	}
+	cfg.DisableExecTable = tr == tierReference
 }
 
 // executeWith runs one reduction end to end on the given interpreter
@@ -80,8 +70,8 @@ func executeWith(t *testing.T, spec Spec, v []uint16, tr tier, workers int) (pas
 }
 
 // TestInterpreterTierEquivalenceReduce runs every reduction program
-// variant through the 3-way interpreter matrix — dynamic reference,
-// exec table, superinstructions — and requires identical run results
+// variant on the dynamic reference and superinstruction tiers and
+// requires identical run results
 // (cycle counts, per-PE clocks, region breakdowns), identical sums,
 // and event-for-event identical observability streams. The super tier
 // runs with parallel host workers so `go test -race` exercises the

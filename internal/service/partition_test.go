@@ -198,15 +198,15 @@ func TestPartitionDrain(t *testing.T) {
 }
 
 // TestPartitionHealthAndMetrics: partition mode shows up in /healthz
-// (machine size, policy) and /metrics (machine gauges, wait quantiles).
+// (machine size) and /metrics (machine gauges, wait quantiles).
 func TestPartitionHealthAndMetrics(t *testing.T) {
-	s := New(Config{QueueDepth: 8, Machine: newServiceMachine(t, 32), Policy: partition.PolicyBestFit,
+	s := New(Config{QueueDepth: 8, Machine: newServiceMachine(t, 32),
 		run: func(context.Context, experiments.Spec) ([]byte, error) { return []byte("x\n"), nil }})
 	defer s.Shutdown(context.Background())
 
 	h := s.Health()
-	if h.MachinePEs != 32 || h.Policy != "bestfit" {
-		t.Errorf("health = %+v, want machine_pes=32 policy=bestfit", h)
+	if h.MachinePEs != 32 {
+		t.Errorf("health = %+v, want machine_pes=32", h)
 	}
 
 	st, err := s.Submit(specN(9), time.Time{})
@@ -234,7 +234,7 @@ func TestPartitionHealthAndMetrics(t *testing.T) {
 	if _, ok := classic.Metrics()["partition/pes_total"]; ok {
 		t.Error("classic mode reports partition metrics")
 	}
-	if h := classic.Health(); h.MachinePEs != 0 || h.Policy != "" {
+	if h := classic.Health(); h.MachinePEs != 0 {
 		t.Errorf("classic health carries partition fields: %+v", h)
 	}
 }

@@ -14,8 +14,8 @@
 // inside a partition of its spec's pes, concurrently with whatever
 // else fits, and the subcube isomorphism keeps every result
 // byte-identical to the classic path (the cache, coalescing, and the
-// cluster's byte-compare guarantees are mode-blind). Config.Policy
-// picks which pending job a freed region goes to.
+// cluster's byte-compare guarantees are mode-blind). A freed region
+// goes to the earliest-arrived pending job that fits (partition.Pick).
 //
 // Backpressure discipline: the queue never grows past its bound.
 // A full queue rejects the submit with ErrQueueFull carrying a
@@ -101,9 +101,6 @@ type Config struct {
 	// identical to a standalone run). Jobs whose pes exceeds the
 	// machine are rejected at admission as bad requests.
 	Machine *partition.Machine
-	// Policy picks which pending job gets a freed partition in
-	// partition mode (firstfit, bestfit, sizeaware). Default firstfit.
-	Policy partition.Policy
 	// Sched orders the queue: FCFS (default, strict arrival order) or
 	// SJF (SLO-class priority + shortest-predicted-job-first with
 	// anti-starvation aging; see sched.go).
@@ -236,17 +233,16 @@ type job struct {
 
 // Service is the experiment-serving engine.
 type Service struct {
-	cfg     Config
-	run     func(ctx context.Context, spec experiments.Spec, cap *obs.Capture, lease *partition.Lease) ([]byte, error)
-	now     func() time.Time
-	cache   *cache.Cache
-	faults  *faults.Injector
-	tracer  *telemetry.Tracer
-	log     *slog.Logger
+	cfg       Config
+	run       func(ctx context.Context, spec experiments.Spec, cap *obs.Capture, lease *partition.Lease) ([]byte, error)
+	now       func() time.Time
+	cache     *cache.Cache
+	faults    *faults.Injector
+	tracer    *telemetry.Tracer
+	log       *slog.Logger
 	sched     *schedQueue
 	admission *buckets // nil: admission control off
 	machine   *partition.Machine
-	policy    partition.Policy
 	// partWake nudges the partition dispatcher when a lease frees up
 	// (buffered size 1: the dispatcher re-scans the whole machine per
 	// wake, so collapsed signals are harmless).
@@ -288,9 +284,6 @@ func New(cfg Config) *Service {
 	if cfg.MaxFillBytes <= 0 {
 		cfg.MaxFillBytes = 8 << 20
 	}
-	if cfg.Policy == "" {
-		cfg.Policy = partition.PolicyFirstFit
-	}
 	s := &Service{
 		cfg:        cfg,
 		now:        cfg.now,
@@ -301,7 +294,6 @@ func New(cfg Config) *Service {
 		sched:      newSchedQueue(cfg.Sched, cfg.StarveLimit),
 		admission:  newBuckets(cfg.AdmitRate, cfg.AdmitBurst, 0),
 		machine:    cfg.Machine,
-		policy:     cfg.Policy,
 		partWake:   make(chan struct{}, 1),
 		jobs:       map[string]*job{},
 		inflight:   map[cache.Key]*job{},
@@ -616,8 +608,8 @@ func (s *Service) worker() {
 // dispatcher is the partition-mode replacement for the worker pool:
 // it pulls admitted jobs into a pending list and packs them onto free
 // subcube partitions of the shared machine, waking on every arrival
-// and every released lease. The configured policy picks which pending
-// job a free region goes to; each placed job runs on its own
+// and every released lease. A free region goes to the first pending
+// job that fits (partition.Pick); each placed job runs on its own
 // goroutine for as long as its lease lasts, so concurrency is bounded
 // by the machine's PEs, not a worker count. Drain semantics match the
 // pool: once the queue closes, everything pending is still placed and
@@ -627,10 +619,10 @@ func (s *Service) dispatcher() {
 	var pending []*job
 	var running sync.WaitGroup
 	for {
-		// Drain every queued arrival so the policy sees the whole
-		// backlog, then order it by the scheduling policy: the partition
-		// policy picks among fits scanning in order, so SJF ordering
-		// here is what lets urgent cheap jobs claim freed regions first.
+		// Drain every queued arrival so the scan sees the whole
+		// backlog, then order it by the scheduling policy: Pick takes
+		// the first fit scanning in order, so SJF ordering here is
+		// what lets urgent cheap jobs claim freed regions first.
 		for {
 			j, ok := s.sched.TryPop()
 			if !ok {
@@ -645,7 +637,7 @@ func (s *Service) dispatcher() {
 			for i, j := range pending {
 				pes[i] = j.spec.PEs
 			}
-			idx := partition.Pick(s.machine, s.policy, pes)
+			idx := partition.Pick(s.machine, pes)
 			if idx < 0 {
 				break
 			}
@@ -679,22 +671,20 @@ func (s *Service) dispatcher() {
 	running.Wait()
 }
 
-// runPartitionJob executes one job inside its partition lease, then
-// returns the PEs and wakes the dispatcher.
+// runPartitionJob executes one job inside its partition lease, returns
+// the PEs and wakes the dispatcher, then finishes the job: the PEs are
+// free by the time the job reads as terminal.
 func (s *Service) runPartitionJob(j *job, lease *partition.Lease, running *sync.WaitGroup) {
 	defer running.Done()
-	defer func() {
-		lease.Release()
-		select {
-		case s.partWake <- struct{}{}:
-		default:
-		}
-	}()
 	result, err := s.execute(j, lease)
+	base, pes := lease.Base, lease.PEs
+	lease.Release()
+	select {
+	case s.partWake <- struct{}{}:
+	default:
+	}
 	s.finishJob(j, result, err, func(run *telemetry.Span) {
-		run.Attr("partition_base", lease.Base).
-			Attr("partition_pes", lease.PEs).
-			Attr("policy", string(s.policy))
+		run.Attr("partition_base", base).Attr("partition_pes", pes)
 	})
 }
 
@@ -715,16 +705,12 @@ func (s *Service) shedExpired(pending []*job) []*job {
 // beginJob transitions a dequeued job to running, or expires it if its
 // deadline already passed (returning false).
 func (s *Service) beginJob(j *job) bool {
-	s.mu.Lock()
-	now := s.now()
-	if !j.deadline.IsZero() && now.After(j.deadline) {
-		s.expireQueuedLocked(j, now)
-		s.mu.Unlock()
-		j.trace.SpanAt("queue", j.created).Attr("expired", true).EndAt(now)
-		j.trace.FinishAt(now)
-		s.logJob(j)
+	if !j.deadline.IsZero() && s.now().After(j.deadline) {
+		s.expireQueued(j)
 		return false
 	}
+	s.mu.Lock()
+	now := s.now()
 	j.state = StateRunning
 	j.started = now
 	s.running++
@@ -741,14 +727,15 @@ func (s *Service) beginJob(j *job) bool {
 }
 
 // expireQueued sheds a job whose deadline passed before it got a
-// worker or a partition.
+// worker or a partition. Its trace is finished before the expired
+// state becomes visible.
 func (s *Service) expireQueued(j *job) {
-	s.mu.Lock()
 	now := s.now()
-	s.expireQueuedLocked(j, now)
-	s.mu.Unlock()
 	j.trace.SpanAt("queue", j.created).Attr("expired", true).EndAt(now)
 	j.trace.FinishAt(now)
+	s.mu.Lock()
+	s.expireQueuedLocked(j, now)
+	s.mu.Unlock()
 	s.logJob(j)
 }
 
@@ -762,60 +749,33 @@ func (s *Service) expireQueuedLocked(j *job, now time.Time) {
 	s.reg.Add("expired", 1)
 }
 
-// finishJob records a finished execution: state transition, caching,
-// metrics, trace spans (decorate, when non-nil, adds mode-specific
-// span attributes), and the structured log line.
+// finishJob records a finished execution: caching, the run span
+// (decorate, when non-nil, adds mode-specific span attributes),
+// metrics, the state transition, and the structured log line. The
+// trace is finished before the terminal state and j.done become
+// visible, so whoever sees the job terminal also sees its trace done.
 func (s *Service) finishJob(j *job, result []byte, err error, decorate func(*telemetry.Span)) {
-	s.mu.Lock()
-	s.running--
-	j.finished = s.now()
-	runSecs := j.finished.Sub(j.started).Seconds()
-	if s.avgRunSecs == 0 {
-		s.avgRunSecs = runSecs
-	} else {
-		s.avgRunSecs = 0.8*s.avgRunSecs + 0.2*runSecs
-	}
-	s.reg.Hist("run_ms", msBounds).Observe(int64(runSecs * 1000))
+	state, errMsg := StateDone, ""
 	switch {
 	case err != nil && errors.Is(err, context.DeadlineExceeded):
-		j.state = StateExpired
-		j.err = "deadline exceeded during execution"
-		s.reg.Add("expired_running", 1)
+		state, errMsg = StateExpired, "deadline exceeded during execution"
 	case err != nil:
-		j.state = StateFailed
-		j.err = err.Error()
-		s.reg.Add("failed", 1)
-	default:
-		j.state = StateDone
-		j.result = result
+		state, errMsg = StateFailed, err.Error()
+	}
+	// Leave the in-flight set first (with the result cached, so an
+	// identical submit hits the cache instead of re-running): no submit
+	// can coalesce onto the job after this, so its fan-in is final.
+	s.mu.Lock()
+	finished := s.now()
+	if state == StateDone {
 		s.cache.Put(j.key, result)
-		s.reg.Add("completed", 1)
 	}
-	if j.class != "" {
-		// Per-SLO-class serving outcome: end-to-end latency histogram
-		// (quantiles derive in Metrics) and, when the class has a
-		// target, whether this job met it.
-		totalMS := j.finished.Sub(j.created).Milliseconds()
-		s.reg.Hist("class_total_ms/"+j.class, msBounds).Observe(totalMS)
-		if j.state == StateDone && j.slo > 0 {
-			if totalMS <= j.slo {
-				s.reg.Add("class_slo_ok/"+j.class, 1)
-			} else {
-				s.reg.Add("class_slo_miss/"+j.class, 1)
-			}
-		}
-	}
-	if j.client != "" && j.state == StateDone {
-		s.clientDone[j.client]++
-	}
-	coalesced := j.coalesced
 	delete(s.inflight, j.key)
-	close(j.done)
-	s.retireLocked(j)
+	coalesced := j.coalesced
 	s.mu.Unlock()
 	if j.trace != nil {
 		run := j.trace.SpanAt("run", j.started).OnTrack("worker").
-			Attr("outcome", string(j.state)).Attr("coalesced", coalesced)
+			Attr("outcome", string(state)).Attr("coalesced", coalesced)
 		if j.class != "" {
 			run.Attr("class", j.class)
 			if j.slo > 0 {
@@ -825,12 +785,53 @@ func (s *Service) finishJob(j *job, result []byte, err error, decorate func(*tel
 		if decorate != nil {
 			decorate(run)
 		}
-		if j.err != "" {
-			run.Attr("error", j.err)
+		if errMsg != "" {
+			run.Attr("error", errMsg)
 		}
-		run.EndAt(j.finished)
-		j.trace.FinishAt(j.finished)
+		run.EndAt(finished)
+		j.trace.FinishAt(finished)
 	}
+
+	s.mu.Lock()
+	s.running--
+	j.finished = finished
+	j.state, j.err = state, errMsg
+	runSecs := finished.Sub(j.started).Seconds()
+	if s.avgRunSecs == 0 {
+		s.avgRunSecs = runSecs
+	} else {
+		s.avgRunSecs = 0.8*s.avgRunSecs + 0.2*runSecs
+	}
+	s.reg.Hist("run_ms", msBounds).Observe(int64(runSecs * 1000))
+	switch state {
+	case StateExpired:
+		s.reg.Add("expired_running", 1)
+	case StateFailed:
+		s.reg.Add("failed", 1)
+	default:
+		j.result = result
+		s.reg.Add("completed", 1)
+	}
+	if j.class != "" {
+		// Per-SLO-class serving outcome: end-to-end latency histogram
+		// (quantiles derive in Metrics) and, when the class has a
+		// target, whether this job met it.
+		totalMS := finished.Sub(j.created).Milliseconds()
+		s.reg.Hist("class_total_ms/"+j.class, msBounds).Observe(totalMS)
+		if state == StateDone && j.slo > 0 {
+			if totalMS <= j.slo {
+				s.reg.Add("class_slo_ok/"+j.class, 1)
+			} else {
+				s.reg.Add("class_slo_miss/"+j.class, 1)
+			}
+		}
+	}
+	if j.client != "" && state == StateDone {
+		s.clientDone[j.client]++
+	}
+	close(j.done)
+	s.retireLocked(j)
+	s.mu.Unlock()
 	s.logJob(j)
 }
 
@@ -1040,10 +1041,9 @@ type HealthInfo struct {
 	InFlight     int    `json:"inflight"`
 	CacheEntries int    `json:"cache_entries"`
 	Workers      int    `json:"workers"`
-	// MachinePEs and Policy describe partition mode (0/empty when the
+	// MachinePEs is the partition-mode machine size (0 when the
 	// instance runs the classic worker pool).
 	MachinePEs int    `json:"machine_pes,omitempty"`
-	Policy     string `json:"policy,omitempty"`
 	Code       string `json:"code"`
 }
 
@@ -1061,7 +1061,6 @@ func (s *Service) Health() HealthInfo {
 	}
 	if s.machine != nil {
 		h.MachinePEs = s.machine.PEs()
-		h.Policy = string(s.policy)
 	}
 	s.mu.Unlock()
 	h.CacheEntries = s.cache.Len()

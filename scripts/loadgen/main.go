@@ -38,13 +38,12 @@
 // of two and should not exceed the server's machine. Empty (default)
 // leaves pes off the spec — the 16-PE prototype.
 //
-// The JSON document (BENCH_service.json in CI) goes to -out; progress
-// goes to stderr.
+// The JSON document goes to -out; progress goes to stderr.
 //
 // -gateway marks -addr as a pasmgw gateway: after the phases the run
 // snapshots the gateway's /metrics and records the cluster-wide cache
 // hit rate, failovers, hedges, and peer fills alongside the latency
-// numbers (BENCH_cluster.json compares these for 1 vs 3 replicas).
+// numbers.
 //
 // After the phases the run also reads the server's /metrics v2
 // per-stage latency histograms (queue wait, run, total — cluster-level

@@ -2,7 +2,7 @@
 // (make partition-smoke). It builds the real binaries, starts pasmd
 // with -machine-pes 64, and asserts the partitioned-machine contract:
 //
-//  1. /healthz advertises the machine size and scheduling policy;
+//  1. /healthz advertises the machine size;
 //  2. partition residency is invisible in the results: a pes=32 spec
 //     served while co-resident with another job is byte-identical to
 //     local `pasmbench -pes 32 -json -` with host timings off (the
@@ -86,7 +86,7 @@ func run() error {
 	addrFile := filepath.Join(dir, "addr")
 	daemon := exec.Command(pasmd,
 		"-addr", "127.0.0.1:0", "-addr-file", addrFile,
-		"-queue", "32", "-machine-pes", "64", "-policy", "sizeaware", "-parallel", "2")
+		"-queue", "32", "-machine-pes", "64", "-parallel", "2")
 	daemon.Stderr = os.Stderr
 	if err := daemon.Start(); err != nil {
 		return fmt.Errorf("starting pasmd: %v", err)
@@ -112,10 +112,8 @@ func run() error {
 		return fmt.Errorf("healthz status = %q, want ok", h.Status)
 	case h.MachinePEs != 64:
 		return fmt.Errorf("healthz machine_pes = %d, want 64", h.MachinePEs)
-	case h.Policy != "sizeaware":
-		return fmt.Errorf("healthz policy = %q, want sizeaware", h.Policy)
 	}
-	fmt.Fprintln(os.Stderr, "partitionsmoke: /healthz advertises machine_pes=64 policy=sizeaware ✓")
+	fmt.Fprintln(os.Stderr, "partitionsmoke: /healthz advertises machine_pes=64 ✓")
 
 	// 2. Byte identity from inside a partition, with a co-resident job
 	// on the machine. The 16-PE filler lands on a low subcube, so the
