@@ -3,12 +3,16 @@
 
 GO ?= go
 
-.PHONY: all build vet test perfbench-test race cover ci bench bench-json bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke bench-partition bench-slo report
+.PHONY: all build fmt vet test perfbench-test race cover ci bench bench-json bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke bench-partition bench-slo report
 
 all: ci
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails when gofmt would rewrite any file.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -26,7 +30,7 @@ perfbench-test:
 race:
 	$(GO) test -race -timeout 45m ./...
 
-ci: build vet test perfbench-test race bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke
+ci: build fmt vet test perfbench-test race bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke
 
 # Coverage gate: per-package statement coverage printed and compared
 # against the checked-in floor; fails on regression. After genuinely

@@ -35,14 +35,15 @@
 // clients identified by X-Pasm-Client (or "client" body field) above
 // their rate get 429 + Retry-After before consuming a queue slot.
 //
-// -machine-pes switches the instance to partition mode: instead of a
-// fixed worker pool, jobs are packed onto subcube partitions of one
+// -machine-pes switches the instance to partition mode: instead of
+// -workers slots, jobs are packed onto subcube partitions of one
 // shared machine of that many PEs (a power of two up to 1024). Each
 // job runs inside a partition of its spec's pes — results are
-// byte-identical to the classic path — and a freed partition goes to
-// the earliest-arrived pending job that fits.
-// Partition occupancy and fragmentation appear under "partition/" in
-// /metrics. 0 (the default) keeps the classic worker pool.
+// byte-identical to a slot run — and a freed partition goes to the
+// job the -sched policy picks among those that fit (under fcfs, the
+// earliest-arrived). Partition occupancy and fragmentation appear
+// under "partition/" in /metrics. 0 (the default) keeps the -workers
+// slots.
 //
 // -trace-sample arms request tracing: requests arriving with an
 // X-Pasm-Trace header are always traced (the upstream hop paid the
@@ -115,7 +116,7 @@ func run() int {
 	addrFile := flag.String("addr-file", "", "write the bound address to `file` after listening")
 	queue := flag.Int("queue", 64, "max queued (admitted but unstarted) jobs; overload beyond this gets 503")
 	workers := flag.Int("workers", 2, "jobs executing concurrently (ignored in partition mode)")
-	machinePEs := flag.Int("machine-pes", 0, "partition mode: share one machine of this many PEs across jobs (0 = classic worker pool)")
+	machinePEs := flag.Int("machine-pes", 0, "partition mode: share one machine of this many PEs across jobs (0 = -workers slots)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "host goroutines per job for experiment cell fan-out")
 	cacheEntries := flag.Int("cache-entries", 256, "result cache bound, entries (0 = unbounded)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "result cache bound, total value bytes (0 = unbounded)")
@@ -235,7 +236,8 @@ func run() int {
 		"parallel", *parallel, "sched", string(schedMode), "cache_entries", *cacheEntries,
 		"trace_sample", *traceSample, "code", experiments.CodeVersion)
 
-	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: service.ReadHeaderTimeout}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: service.ReadHeaderTimeout,
+		ReadTimeout: service.ReadTimeout, IdleTimeout: service.IdleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

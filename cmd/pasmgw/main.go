@@ -199,7 +199,8 @@ func run() int {
 	gw.Start()
 	defer gw.Stop()
 
-	srv := &http.Server{Handler: gw.Handler(), ReadHeaderTimeout: service.ReadHeaderTimeout}
+	srv := &http.Server{Handler: gw.Handler(), ReadHeaderTimeout: service.ReadHeaderTimeout,
+		ReadTimeout: service.ReadTimeout, IdleTimeout: service.IdleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

@@ -1,6 +1,7 @@
 package m68k
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -105,31 +106,48 @@ func TestMemoryHelpers(t *testing.T) {
 	}
 }
 
-// TestExecBroadcastDirect drives the SIMD-path entry point without the
-// pasm executor.
-func TestExecBroadcastDirect(t *testing.T) {
+// TestExecLockstepDirect drives the SIMD-path entry point without the
+// pasm executor, on both tiers: every live CPU waits for the release
+// and executes the broadcast instruction; a halted CPU only waits; an
+// errored CPU stops the step at its position.
+func TestExecLockstepDirect(t *testing.T) {
 	p := MustAssemble(`
 		add.w   d1, d0
 		mulu.w  d1, d0
 	`)
-	c := NewCPU(p, NewMemory(1024))
-	c.D[0], c.D[1] = 3, 5
-	if st := c.ExecBroadcast(&p.Instrs[0]); st != StatusOK {
-		t.Fatalf("status %v", st)
-	}
-	if c.D[0] != 8 {
-		t.Errorf("d0 = %d", c.D[0])
-	}
-	if st := c.ExecBroadcast(&p.Instrs[1]); st != StatusOK {
-		t.Fatalf("status %v", st)
-	}
-	if c.D[0] != 40 {
-		t.Errorf("d0 = %d", c.D[0])
-	}
-	// Halted/errored CPUs refuse.
-	c.Halted = true
-	if st := c.ExecBroadcast(&p.Instrs[0]); st != StatusHalted {
-		t.Errorf("halted broadcast status %v", st)
+	for _, reference := range []bool{false, true} {
+		cpus := make([]*CPU, 3)
+		for i := range cpus {
+			cpus[i] = NewCPU(p, NewMemory(1024))
+			cpus[i].DisableExecTable = reference
+			cpus[i].D[0], cpus[i].D[1] = 3, 5
+		}
+		live, halted, broken := cpus[0], cpus[1], cpus[2]
+		halted.Halted = true
+		if _, st, k := ExecLockstep(cpus[:2], 0, 10); st != StatusOK || k != 2 {
+			t.Fatalf("reference=%v: add step = %v at %d", reference, st, k)
+		}
+		if _, st, _ := ExecLockstep(cpus[:2], 1, 100); st != StatusOK {
+			t.Fatalf("reference=%v: mulu step = %v", reference, st)
+		}
+		if live.D[0] != 40 || live.InstrCount != 2 {
+			t.Errorf("reference=%v: live d0 = %d after %d instrs, want 40 after 2", reference, live.D[0], live.InstrCount)
+		}
+		if halted.D[0] != 3 || halted.InstrCount != 0 || halted.Clock != 100 {
+			t.Errorf("reference=%v: halted CPU d0=%d instrs=%d clock=%d, want it to only wait (3, 0, 100)",
+				reference, halted.D[0], halted.InstrCount, halted.Clock)
+		}
+		var waited int64
+		for _, r := range halted.Regions {
+			waited += r
+		}
+		if waited != 100 {
+			t.Errorf("reference=%v: halted CPU charged %d wait cycles to its regions, want 100", reference, waited)
+		}
+		broken.Err = errors.New("bus error")
+		if _, st, k := ExecLockstep([]*CPU{live, broken, halted}, 0, 0); st != StatusError || k != 1 {
+			t.Errorf("reference=%v: errored CPU step = %v at %d, want StatusError at 1", reference, st, k)
+		}
 	}
 }
 

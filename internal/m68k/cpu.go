@@ -183,21 +183,6 @@ func (c *CPU) Step() Status {
 	return e.fn(c, in, e.base+fetch, fetch, c.PC+1)
 }
 
-// ExecBroadcast executes a single broadcast instruction delivered by
-// the Fetch Unit (no fetch wait states; the queue is static RAM). The
-// caller owns lockstep bookkeeping. The instruction must be
-// straight-line (no branches); the PASM SIMD executor validates this
-// when blocks are registered.
-func (c *CPU) ExecBroadcast(in *Instr) Status {
-	if c.Halted {
-		return StatusHalted
-	}
-	if c.Err != nil {
-		return StatusError
-	}
-	return c.exec(in, 0)
-}
-
 // ExecLockstep executes broadcast instruction idx, released by the
 // Fetch Unit at release, on each CPU of cpus in order: one PASM SIMD
 // group's lockstep step. Every CPU must run the same Program with the

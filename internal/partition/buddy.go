@@ -17,11 +17,11 @@
 //     (escube.Subcube), so a job on PEs 32..63 is cycle-identical to
 //     the same job on a standalone 32-PE machine — the identity the
 //     differential tests pin.
-//   - Scheduler policies (Pick) and the deterministic co-scheduling
-//     simulator (Simulate): how pasmd packs queued jobs onto free
-//     partitions, and the discrete-event model the ext-partition
-//     experiment and the partition benchmark use to compare policies
-//     on the simulated clock.
+//   - The first-fit scheduling rule (Pick) and the deterministic
+//     co-scheduling simulator (Simulate): the discrete-event model the
+//     ext-partition experiment and the partition benchmark run on the
+//     simulated clock. pasmd's dispatcher applies the same rule
+//     through its scheduler queue (internal/service).
 package partition
 
 import (

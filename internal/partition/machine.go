@@ -74,13 +74,15 @@ func (m *Machine) FreePEs() int {
 	return m.buddy.FreePEs()
 }
 
-// FitOrder reports whether a partition of pes PEs can be allocated
-// right now, and if so the order of the smallest free block that
-// would serve it (the scheduler policies' fit probe).
-func (m *Machine) FitOrder(pes int) (int, bool) {
+// LargestFree returns the size of the largest free subcube (0 when
+// the machine is full): an Acquire(pes) would succeed right now exactly
+// when pes <= LargestFree(), because free blocks are aligned powers of
+// two of at least MinBlock PEs. One call is one consistent snapshot of
+// every fit probe.
+func (m *Machine) LargestFree() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.buddy.FitOrder(pes)
+	return m.buddy.LargestFree()
 }
 
 // Lease is an allocated partition: a block of PEs and the subcube

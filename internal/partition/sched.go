@@ -1,7 +1,7 @@
 package partition
 
-// Fitter answers fit probes against the current free state; both
-// *Buddy and *Machine implement it.
+// Fitter answers fit probes against the current free state; *Buddy
+// implements it.
 type Fitter interface {
 	// FitOrder returns the order of the smallest free block that can
 	// serve a partition of pes PEs, and whether one exists.

@@ -97,6 +97,20 @@ const MaxSubmitBytes = 1 << 20
 // hold a server goroutine forever.
 const ReadHeaderTimeout = 10 * time.Second
 
+// ReadTimeout bounds reading one whole request, body included, on the
+// same servers (a 1 MiB submit or an 8 MiB peer fill fits it easily),
+// so a trickled body cannot hold a goroutine either. It does not cut
+// slow handlers: net/http clears the read deadline once the request
+// has been read, so a /wait long-poll outlives it. The servers set no
+// WriteTimeout on purpose: net/http arms that deadline when the
+// request is read, so it would cut /wait long-polls (30 s by default,
+// longer with timeout_ms).
+const ReadTimeout = 30 * time.Second
+
+// IdleTimeout bounds how long those servers keep an idle keep-alive
+// connection open between requests.
+const IdleTimeout = 2 * time.Minute
+
 // SubmitBodyStatus maps a submit-body decode error to its HTTP status:
 // 413 when the body ran past MaxSubmitBytes, 400 otherwise.
 func SubmitBodyStatus(err error) int {
@@ -117,7 +131,7 @@ type SubmitRequest struct {
 	// DeadlineMS, when > 0, is a relative deadline covering the job's
 	// whole lifetime: the job is rejected at admission if the queue
 	// estimate cannot meet it, expired in the queue if it passes
-	// before a worker starts, and canceled mid-run (context deadline
+	// before the job is placed, and canceled mid-run (context deadline
 	// through RunSpecContext) if it passes during execution.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// WaitMS, when > 0, long-polls the submitted job for up to this

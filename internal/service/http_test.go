@@ -372,3 +372,34 @@ func TestHTTPSubmitBodyBound(t *testing.T) {
 		t.Errorf("body at the limit: served bytes differ from the local report")
 	}
 }
+
+// TestReadTimeoutSparesLongPolls pins the reason the servers may set
+// ReadTimeout but not WriteTimeout: once a request has been read, its
+// handler may wait far longer than ReadTimeout. With a 50ms read
+// timeout and 300ms jobs, a submit long-poll (wait_ms) and a /wait
+// long-poll both answer with the job's terminal state.
+func TestReadTimeoutSparesLongPolls(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 4, run: func(context.Context, experiments.Spec) ([]byte, error) {
+		time.Sleep(300 * time.Millisecond)
+		return []byte("slow\n"), nil
+	}})
+	defer s.Shutdown(context.Background())
+	srv := httptest.NewUnstartedServer(s.Handler())
+	srv.Config.ReadTimeout = 50 * time.Millisecond
+	srv.Start()
+	defer srv.Close()
+
+	var st JobStatus
+	resp, body := postJob(t, srv.URL, SubmitRequest{Spec: specN(1), WaitMS: 5000})
+	if err := json.Unmarshal(body, &st); err != nil || resp.StatusCode != http.StatusOK || st.State != StateDone {
+		t.Fatalf("submit long-poll: %d %s (err %v), want 200 done", resp.StatusCode, body, err)
+	}
+	queued, err := s.Submit(specN(2), time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body = getBody(t, srv.URL+"/v1/jobs/"+queued.ID+"/wait?timeout_ms=5000")
+	if err := json.Unmarshal(body, &st); err != nil || resp.StatusCode != http.StatusOK || st.State != StateDone {
+		t.Fatalf("/wait long-poll: %d %s (err %v), want 200 done", resp.StatusCode, body, err)
+	}
+}

@@ -153,7 +153,7 @@ func Replay(tr *workload.Trace, cfg ReplayConfig) (*ReplayResult, error) {
 
 	dispatch := func(nowUS int64) {
 		for nIdle > 0 {
-			j, ok := q.TryPop()
+			j, ok := q.TryPopFit(fitsAll)
 			if !ok {
 				return
 			}

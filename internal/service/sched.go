@@ -3,7 +3,7 @@ package service
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -123,24 +123,18 @@ func predictCost(spec experiments.Spec) float64 {
 	return c
 }
 
-// schedQueue replaces the buffered channel between Submit and the
-// workers/dispatcher: a close-then-drain queue whose Pop order is the
-// scheduling policy. Like the channel it replaces, Pop keeps
-// returning entries after Close until the queue is empty, so graceful
-// drain semantics are unchanged; unlike the channel, SJF mode may
-// reorder what drains first.
+// schedQueue holds the admitted-but-unstarted jobs between Submit and
+// the dispatcher. It is the only backlog: the dispatcher pops from it
+// when capacity frees up (TryPopFit), so the pop order is the
+// scheduling policy in both capacity modes.
 type schedQueue struct {
 	mode        SchedulerMode
 	starveLimit int
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	entries []*job // arrival order
-	closed  bool
-	// arrivals nudges the partition dispatcher (size 1; the dispatcher
-	// re-drains the whole queue per wake, so collapsed signals are
-	// harmless).
-	arrivals chan struct{}
+	mu       sync.Mutex
+	entries  []*job // arrival order
+	cand     []*job // TryPopFit scratch: the fitting entries
+	closed   bool
 	promoted int64 // aging promotions (metric)
 }
 
@@ -151,26 +145,18 @@ func newSchedQueue(mode SchedulerMode, starveLimit int) *schedQueue {
 	if starveLimit <= 0 {
 		starveLimit = DefaultStarveLimit
 	}
-	q := &schedQueue{mode: mode, starveLimit: starveLimit, arrivals: make(chan struct{}, 1)}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+	return &schedQueue{mode: mode, starveLimit: starveLimit}
 }
 
 // Push appends an arrival. The caller (Submit, under Service.mu) has
 // verified capacity and that the queue is not closed.
 func (q *schedQueue) Push(j *job) {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
-		q.mu.Unlock()
 		panic("service: push on closed scheduler queue")
 	}
 	q.entries = append(q.entries, j)
-	q.mu.Unlock()
-	q.cond.Signal()
-	select {
-	case q.arrivals <- struct{}{}:
-	default:
-	}
 }
 
 // Len returns the queued-job count.
@@ -192,81 +178,93 @@ func (q *schedQueue) Close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
-	q.cond.Broadcast()
-	select {
-	case q.arrivals <- struct{}{}:
-	default:
-	}
 }
 
-// Pop blocks for the next job under the scheduling policy. ok=false
-// means closed and fully drained (the `for j := range queue` exit).
-func (q *schedQueue) Pop() (*job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.entries) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.entries) == 0 {
-		return nil, false
-	}
-	return q.takeLocked(q.pickLocked()), true
-}
-
-// TryPop is Pop without blocking; ok=false means currently empty.
-func (q *schedQueue) TryPop() (*job, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.entries) == 0 {
-		return nil, false
-	}
-	return q.takeLocked(q.pickLocked()), true
-}
-
-// Drained reports closed-and-empty (the partition dispatcher's exit
-// condition).
+// Drained reports closed-and-empty (the dispatcher's exit condition).
 func (q *schedQueue) Drained() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.closed && len(q.entries) == 0
 }
 
-func (q *schedQueue) takeLocked(idx int) *job {
-	j := q.entries[idx]
-	q.entries = append(q.entries[:idx], q.entries[idx+1:]...)
-	return j
-}
+// fitsAll is the fit predicate of a free worker slot (and of Replay's
+// virtual pool): every entry fits.
+func fitsAll(*job) bool { return true }
 
-// pickLocked chooses the next entry index. FCFS: strict arrival
-// order. SJF: the aging rule first — the oldest entry bypassed at
-// least starveLimit times is promoted, unless promoting it would push
-// a more-urgent waiter past starveLimit bypasses of its own (the veto
-// that bounds every urgent job's total bypasses) — then the best
-// (class priority, predicted cost, arrival) triple. Bookkeeping: a
-// normal pick charges one bypass to every strictly-less-urgent
-// waiter; a promotion charges one to every strictly-more-urgent
-// waiter.
-func (q *schedQueue) pickLocked() int {
-	if q.mode != SchedSJF || len(q.entries) == 1 {
-		return 0
-	}
-	aged := -1
-	for i, e := range q.entries {
-		if e.skipped >= q.starveLimit && (aged < 0 || e.seq < q.entries[aged].seq) {
-			aged = i
+// TryPopFit removes and returns the entry the scheduling policy starts
+// next among those fit accepts; ok=false means no queued entry fits.
+// FCFS takes the earliest-arrived fitting entry (first fit, the
+// partition.Pick rule); SJF runs pickLocked over the fitting entries.
+// fit is called under the queue lock, so it must not call back into
+// the queue.
+func (q *schedQueue) TryPopFit(fit func(*job) bool) (*job, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.cand = q.cand[:0]
+	for _, e := range q.entries {
+		if fit(e) {
+			q.cand = append(q.cand, e)
+			if q.mode != SchedSJF {
+				break
+			}
 		}
 	}
-	if aged >= 0 {
+	if len(q.cand) == 0 {
+		return nil, false
+	}
+	j := q.pickLocked(q.cand)
+	i := slices.Index(q.entries, j)
+	q.entries = slices.Delete(q.entries, i, i+1)
+	return j, true
+}
+
+// Shed removes every entry drop reports true for and returns them in
+// arrival order (nil when none). Unlike a pop it charges no SJF
+// bypasses: a shed job was never scheduled.
+func (q *schedQueue) Shed(drop func(*job) bool) []*job {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var shed []*job
+	q.entries = slices.DeleteFunc(q.entries, func(j *job) bool {
+		if drop(j) {
+			shed = append(shed, j)
+			return true
+		}
+		return false
+	})
+	return shed
+}
+
+// pickLocked chooses the next job among the candidates c (in arrival
+// order). FCFS: the first. SJF: the aging rule first — the oldest
+// candidate bypassed at least starveLimit times is promoted, unless
+// promoting it would push a more-urgent candidate past starveLimit
+// bypasses of its own (the veto that bounds every urgent job's total
+// bypasses) — then the best (class priority, predicted cost, arrival)
+// triple. Bookkeeping: a normal pick charges one bypass to every
+// strictly-less-urgent candidate; a promotion charges one to every
+// strictly-more-urgent candidate.
+func (q *schedQueue) pickLocked(c []*job) *job {
+	if q.mode != SchedSJF || len(c) == 1 {
+		return c[0]
+	}
+	var aged *job
+	for _, e := range c {
+		if e.skipped >= q.starveLimit && (aged == nil || e.seq < aged.seq) {
+			aged = e
+		}
+	}
+	if aged != nil {
 		ok := true
-		for _, e := range q.entries {
-			if e.classPrio < q.entries[aged].classPrio && e.bypassed >= q.starveLimit {
+		for _, e := range c {
+			if e.classPrio < aged.classPrio && e.bypassed >= q.starveLimit {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			for _, e := range q.entries {
-				if e.classPrio < q.entries[aged].classPrio {
+			for _, e := range c {
+				if e.classPrio < aged.classPrio {
 					e.bypassed++
 				}
 			}
@@ -274,14 +272,14 @@ func (q *schedQueue) pickLocked() int {
 			return aged
 		}
 	}
-	best := 0
-	for i := 1; i < len(q.entries); i++ {
-		if schedLess(q.entries[i], q.entries[best]) {
-			best = i
+	best := c[0]
+	for _, e := range c[1:] {
+		if schedLess(e, best) {
+			best = e
 		}
 	}
-	for i, e := range q.entries {
-		if i != best && e.classPrio > q.entries[best].classPrio {
+	for _, e := range c {
+		if e != best && e.classPrio > best.classPrio {
 			e.skipped++
 		}
 	}
@@ -298,15 +296,4 @@ func schedLess(a, b *job) bool {
 		return a.cost < b.cost
 	}
 	return a.seq < b.seq
-}
-
-// sortPending orders the partition dispatcher's backlog with the same
-// policy, so a freed region is offered to the most urgent, cheapest
-// fit first (the per-pop aging accounting applies to pool mode; the
-// dispatcher re-sorts its whole backlog each round instead).
-func (q *schedQueue) sortPending(pending []*job) {
-	if q.mode != SchedSJF {
-		return
-	}
-	sort.SliceStable(pending, func(i, k int) bool { return schedLess(pending[i], pending[k]) })
 }

@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -260,30 +262,201 @@ func TestPredictCostRanks(t *testing.T) {
 	}
 }
 
-func TestSortPending(t *testing.T) {
-	jobs := []*job{
-		mkJob(0, 0, 900), // best-effort, expensive
-		mkJob(1, 50, 40), // urgent, mid
-		mkJob(2, 50, 10), // urgent, cheapest
-		mkJob(3, 0, 5),   // best-effort, cheap
+// TryPop pops with every entry fitting: the pick a free worker slot
+// (or Replay's virtual pool) makes.
+func (q *schedQueue) TryPop() (*job, bool) { return q.TryPopFit(fitsAll) }
+
+// sizedJobs is randomJobs' mix with a random power-of-two partition size.
+func sizedJobs(rng *rand.Rand, n int) []*job {
+	jobs := randomJobs(rng, n)
+	for _, j := range jobs {
+		j.spec.PEs = 1 << rng.Intn(5)
 	}
-	sjf := newSchedQueue(SchedSJF, DefaultStarveLimit)
-	got := append([]*job(nil), jobs...)
-	sjf.sortPending(got)
-	want := []int{2, 1, 3, 0}
-	for i, w := range want {
-		if got[i].seq != w {
-			t.Fatalf("sjf sortPending[%d] = seq %d, want %d", i, got[i].seq, w)
+	return jobs
+}
+
+// TestTryPopFitProperty drives the one pop method with random fit
+// predicates — a random count of free PEs, as a partition machine
+// would offer — over random interleavings of pushes and pops:
+//
+//  1. A pop returns a fitting queued entry, and fails (leaving the
+//     queue untouched) exactly when no queued entry fits.
+//  2. FCFS pops the earliest-arrived fitting entry (first fit).
+//  3. SJF without aging pops the schedLess-least fitting entry.
+//  4. SJF with aging: no urgent job that fits is overtaken by more than
+//     starveLimit best-effort pops (the bounded-bypass property of
+//     TestSchedBoundedBypass, restricted to pops it could have taken).
+func TestTryPopFitProperty(t *testing.T) {
+	const limit = 3
+	for _, tc := range []struct {
+		name  string
+		mode  SchedulerMode
+		limit int
+	}{
+		{"fcfs", SchedFCFS, limit},
+		{"sjf-no-aging", SchedSJF, 1_000_000},
+		{"sjf-aging", SchedSJF, limit},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prop := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				q := newSchedQueue(tc.mode, tc.limit)
+				jobs := sizedJobs(rng, 20+rng.Intn(60))
+				var queued []*job          // model of the queue, arrival order
+				overtaken := map[int]int{} // urgent seq -> best-effort pops it fit for
+				next, popped := 0, 0
+				for next < len(jobs) || popped < len(jobs) {
+					if next < len(jobs) && (popped == len(jobs) || rng.Intn(2) == 0) {
+						q.Push(jobs[next])
+						queued = append(queued, jobs[next])
+						next++
+						continue
+					}
+					free := 0
+					if rng.Intn(4) > 0 {
+						free = 1 << rng.Intn(5)
+					}
+					fit := func(j *job) bool { return j.spec.PEs <= free }
+					var fitting []*job
+					for _, e := range queued {
+						if fit(e) {
+							fitting = append(fitting, e)
+						}
+					}
+					j, ok := q.TryPopFit(fit)
+					if !ok {
+						if len(fitting) > 0 || q.Len() != len(queued) {
+							t.Logf("seed %d: no pop with %d fitting of %d queued (queue len %d)", seed, len(fitting), len(queued), q.Len())
+							return false
+						}
+						continue
+					}
+					at := slices.Index(queued, j)
+					if at < 0 || !fit(j) {
+						t.Logf("seed %d: popped seq=%d (queued=%v, fits=%v)", seed, j.seq, at >= 0, fit(j))
+						return false
+					}
+					queued = slices.Delete(queued, at, at+1)
+					popped++
+					switch {
+					case tc.mode == SchedFCFS && j != fitting[0]:
+						t.Logf("seed %d: fcfs popped seq=%d, first fit is seq=%d", seed, j.seq, fitting[0].seq)
+						return false
+					case tc.mode == SchedSJF && tc.limit > len(jobs):
+						for _, e := range fitting {
+							if schedLess(e, j) {
+								t.Logf("seed %d: sjf popped seq=%d ahead of fitting seq=%d", seed, j.seq, e.seq)
+								return false
+							}
+						}
+					case tc.mode == SchedSJF && j.classPrio == bestEffortPrio:
+						for _, e := range fitting {
+							if e.classPrio == bestEffortPrio {
+								continue
+							}
+							if overtaken[e.seq]++; overtaken[e.seq] > tc.limit {
+								t.Logf("seed %d: urgent seq=%d overtaken %d times (> %d)", seed, e.seq, overtaken[e.seq], tc.limit)
+								return false
+							}
+						}
+					}
+				}
+				return q.Len() == 0
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestTryPopFitAgesOnlyFitting: a pop charges SJF bypasses only to
+// the entries that fit. A best-effort job too large for the free
+// capacity is not aged by the urgent pops it could not have taken, so
+// once it fits it still waits its full starveLimit bypasses.
+func TestTryPopFitAgesOnlyFitting(t *testing.T) {
+	const limit = 2
+	q := newSchedQueue(SchedSJF, limit)
+	big := mkJob(0, 0, 1e7)
+	big.spec.PEs = 16
+	q.Push(big)
+	for seq := 1; seq <= 2*limit+3; seq++ {
+		j := mkJob(seq, 10, 1e4)
+		j.spec.PEs = 4
+		q.Push(j)
+	}
+	small := func(j *job) bool { return j.spec.PEs <= 4 }
+	for i := 0; i < 2*limit; i++ {
+		if j, ok := q.TryPopFit(small); !ok || j == big {
+			t.Fatalf("pop %d with 4 PEs free: got %v, %v", i, j, ok)
 		}
 	}
-	// FCFS mode leaves the backlog untouched.
-	fcfs := newSchedQueue(SchedFCFS, DefaultStarveLimit)
-	got = append([]*job(nil), jobs...)
-	fcfs.sortPending(got)
-	for i := range jobs {
-		if got[i] != jobs[i] {
-			t.Fatal("fcfs sortPending reordered the backlog")
+	for i := 0; i < limit; i++ {
+		if j, _ := q.TryPop(); j == big {
+			t.Fatalf("big job promoted after %d bypasses it could take (limit %d)", i, limit)
 		}
+	}
+	if j, _ := q.TryPop(); j != big {
+		t.Fatalf("big job not promoted after %d bypasses (limit %d)", limit, limit)
+	}
+}
+
+// TestDispatchAgingBothModes: SJF aging holds on the live dispatcher in
+// both capacity modes. One slot (one worker, or a machine holding one
+// default-size partition) runs job 1 while a best-effort job queues
+// ahead of six urgent ones; with StarveLimit 2 the best-effort job must
+// start after at most two urgent jobs, and both modes start the jobs
+// in the same order.
+func TestDispatchAgingBothModes(t *testing.T) {
+	const limit = 2
+	want := []uint32{1, 10, 11, 2, 12, 13, 14, 15}
+	for _, partitioned := range []bool{false, true} {
+		name := "pool"
+		if partitioned {
+			name = "partition"
+		}
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			var order []uint32
+			gate := make(chan struct{})
+			cfg := Config{Workers: 1, QueueDepth: 16, Sched: SchedSJF, StarveLimit: limit,
+				run: func(_ context.Context, spec experiments.Spec) ([]byte, error) {
+					mu.Lock()
+					order = append(order, spec.Seed)
+					mu.Unlock()
+					<-gate
+					return []byte("x\n"), nil
+				}}
+			if partitioned {
+				cfg.Machine = newServiceMachine(t, experiments.DefaultPEs)
+			}
+			s := New(cfg)
+			first, err := s.Submit(specN(1), time.Time{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitRunning(t, s, first.ID)
+			if _, err := s.Submit(specN(2), time.Time{}); err != nil {
+				t.Fatal(err)
+			}
+			for seed := uint32(10); seed < 16; seed++ {
+				if _, err := s.SubmitWith(specN(seed), SubmitOpts{SLOMs: 50}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(gate)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := s.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if bypassed := slices.Index(order, 2) - 1; bypassed > limit {
+				t.Errorf("best-effort job started after %d urgent jobs (StarveLimit %d); start order %v", bypassed, limit, order)
+			}
+			if !slices.Equal(order, want) {
+				t.Errorf("start order %v, want %v", order, want)
+			}
+		})
 	}
 }
 

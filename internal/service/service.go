@@ -1,21 +1,23 @@
 // Package service turns the experiment engine into a long-running
-// server: a bounded FIFO job queue with deadline-aware admission
-// control, a worker pool executing specs through the existing
-// host-parallel engine (experiments.Options.Parallelism), request
-// coalescing so identical in-flight specs share one execution, and a
-// content-addressed LRU result cache (internal/cache) so repeated
-// specs are served byte-identical without re-simulating. cmd/pasmd
-// fronts it with HTTP; the engine itself is transport-free and fully
-// testable in-process.
+// server: a bounded job queue with deadline-aware admission control,
+// one dispatcher that starts queued jobs on free capacity and runs
+// them through the existing host-parallel engine
+// (experiments.Options.Parallelism), request coalescing so identical
+// in-flight specs share one execution, and a content-addressed LRU
+// result cache (internal/cache) so repeated specs are served
+// byte-identical without re-simulating. cmd/pasmd fronts it with
+// HTTP; the engine itself is transport-free and fully testable
+// in-process.
 //
-// Partition mode (Config.Machine): instead of a fixed worker pool,
-// the service carves a shared partition.Machine into power-of-two
-// subcube partitions and packs queued jobs onto them — each job runs
-// inside a partition of its spec's pes, concurrently with whatever
-// else fits, and the subcube isomorphism keeps every result
-// byte-identical to the classic path (the cache, coalescing, and the
-// cluster's byte-compare guarantees are mode-blind). A freed region
-// goes to the earliest-arrived pending job that fits (partition.Pick).
+// Capacity comes in two modes with one dispatch loop. By default it
+// is Config.Workers slots, each running one job. In partition mode
+// (Config.Machine) the service carves a shared partition.Machine into
+// power-of-two subcube partitions — each job runs inside a partition
+// of its spec's pes, concurrently with whatever else fits, and the
+// subcube isomorphism keeps every result byte-identical to a slot run
+// (the cache, coalescing, and the cluster's byte-compare guarantees
+// are mode-blind). In both modes the queue's scheduling policy picks
+// among the queued jobs that fit the free capacity.
 //
 // Backpressure discipline: the queue never grows past its bound.
 // A full queue rejects the submit with ErrQueueFull carrying a
@@ -31,7 +33,8 @@
 // the execution context into experiments.RunSpecContext so a running
 // job stops between experiments once the deadline passes. A panicking
 // run (a bug, or chaos injection) fails only its own job and is
-// counted; the worker goroutine survives, so the pool self-heals. An
+// counted; the dispatcher and every other job carry on, and the job's
+// capacity is returned. An
 // optional faults.Injector (Config.Faults, pasmd -chaos-seed/-chaos-
 // profile) injects deterministic errors, delays, and panics at the
 // admission, cache, execution, and HTTP points; detached it costs one
@@ -49,6 +52,7 @@ import (
 	"runtime/debug"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -63,7 +67,7 @@ import (
 // State is a job's lifecycle state. Transitions:
 //
 //	queued -> running -> done | failed
-//	queued -> expired            (deadline passed before a worker got it)
+//	queued -> expired            (deadline passed before it was placed)
 //	running -> expired           (deadline passed mid-run; execution canceled)
 //	(cache hit) -> done          (never queued)
 type State string
@@ -87,19 +91,20 @@ type Config struct {
 	// QueueDepth bounds the number of admitted-but-unstarted jobs.
 	// Default 64.
 	QueueDepth int
-	// Workers is the number of jobs executing concurrently. Each job
-	// additionally fans its cells across Options.Parallelism host
-	// goroutines, so Workers*Parallelism should track the host CPU
-	// count. Default 1. Ignored in partition mode (Machine non-nil),
-	// where concurrency is whatever the machine's free PEs admit.
+	// Workers is the number of slots the dispatcher places jobs on, so
+	// the number of jobs executing concurrently. Each job additionally
+	// fans its cells across Options.Parallelism host goroutines, so
+	// Workers*Parallelism should track the host CPU count. Default 1.
+	// Ignored in partition mode (Machine non-nil), where concurrency is
+	// whatever the machine's free PEs admit.
 	Workers int
 	// Machine, when non-nil, switches the service to partition mode:
-	// instead of a fixed worker pool, a scheduler packs queued jobs
-	// onto free subcube partitions of this shared machine (each job
-	// gets a partition of its spec's pes and runs with the partition's
-	// network view; the subcube isomorphism keeps its result bytes
-	// identical to a standalone run). Jobs whose pes exceeds the
-	// machine are rejected at admission as bad requests.
+	// instead of Workers slots, the dispatcher places queued jobs on
+	// free subcube partitions of this shared machine (each job gets a
+	// partition of its spec's pes and runs with the partition's network
+	// view; the subcube isomorphism keeps its result bytes identical to
+	// a standalone run). Jobs whose pes exceeds the machine are
+	// rejected at admission as bad requests.
 	Machine *partition.Machine
 	// Sched orders the queue: FCFS (default, strict arrival order) or
 	// SJF (SLO-class priority + shortest-predicted-job-first with
@@ -242,17 +247,21 @@ type Service struct {
 	log       *slog.Logger
 	sched     *schedQueue
 	admission *buckets // nil: admission control off
+	// Capacity the dispatcher places jobs on: the shared machine in
+	// partition mode, otherwise freeSlots of the Workers slots (only the
+	// dispatcher takes one; a finishing job gives it back).
 	machine   *partition.Machine
-	// partWake nudges the partition dispatcher when a lease frees up
-	// (buffered size 1: the dispatcher re-scans the whole machine per
-	// wake, so collapsed signals are harmless).
-	partWake chan struct{}
+	freeSlots atomic.Int32
+	// wake nudges the dispatcher on every arrival, every freed slot or
+	// lease, and the start of a drain (buffered size 1: each round
+	// re-scans the whole queue, so collapsed signals are harmless).
+	wake chan struct{}
 
 	mu         sync.Mutex
 	jobs       map[string]*job
 	inflight   map[cache.Key]*job
 	finished   []string // terminal job ids, oldest first (history bound)
-	running    int      // jobs currently executing on a worker
+	running    int      // jobs currently executing
 	draining   bool
 	seq        int
 	reg        *obs.Registry
@@ -267,7 +276,7 @@ type Service struct {
 // obs package records inside the machine).
 var msBounds = []int64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 15000}
 
-// New starts a service with cfg.Workers workers.
+// New starts a service and its dispatcher.
 func New(cfg Config) *Service {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
@@ -294,7 +303,7 @@ func New(cfg Config) *Service {
 		sched:      newSchedQueue(cfg.Sched, cfg.StarveLimit),
 		admission:  newBuckets(cfg.AdmitRate, cfg.AdmitBurst, 0),
 		machine:    cfg.Machine,
-		partWake:   make(chan struct{}, 1),
+		wake:       make(chan struct{}, 1),
 		jobs:       map[string]*job{},
 		inflight:   map[cache.Key]*job{},
 		classSeen:  map[string]bool{},
@@ -327,15 +336,9 @@ func New(cfg Config) *Service {
 	if s.now == nil {
 		s.now = time.Now
 	}
-	if s.machine != nil {
-		s.wg.Add(1)
-		go s.dispatcher()
-	} else {
-		for i := 0; i < cfg.Workers; i++ {
-			s.wg.Add(1)
-			go s.worker()
-		}
-	}
+	s.freeSlots.Store(int32(cfg.Workers))
+	s.wg.Add(1)
+	go s.dispatcher()
 	return s
 }
 
@@ -373,7 +376,7 @@ func (s *Service) SubmitTraced(spec experiments.Spec, deadline time.Time, traceH
 // SubmitWith is the full submission path: deadline, SLO class,
 // client identity, and trace context. A traced submit records an
 // admit span with its outcome, class, and queue depth; a queued job
-// carries the trace to the worker, which adds queue and run spans and
+// carries the trace to its run, which adds queue and run spans and
 // finishes the trace at the job's terminal state. Non-queued outcomes
 // (cache hit, coalesce, rejection) finish the trace at submit return.
 func (s *Service) SubmitWith(spec experiments.Spec, opts SubmitOpts) (JobStatus, error) {
@@ -387,8 +390,8 @@ func (s *Service) SubmitWith(spec experiments.Spec, opts SubmitOpts) (JobStatus,
 		admit.Attr("error", err.Error())
 	}
 	admit.EndSpan()
-	// A queued job's trace finishes at its terminal state (the worker
-	// owns it now); every other outcome is terminal here.
+	// A queued job's trace finishes at its terminal state (the job's
+	// run owns it now); every other outcome is terminal here.
 	if err != nil || st.State.Terminal() || st.Coalesced > 0 {
 		tr.Finish()
 	}
@@ -505,6 +508,7 @@ func (s *Service) submit(spec experiments.Spec, opts SubmitOpts, tr *telemetry.R
 		s.classSeen[j.class] = true
 	}
 	s.sched.Push(j) // bounded: capacity was verified under mu and only Submit pushes
+	s.nudge()
 	s.inflight[key] = j
 	s.reg.Hist("queue_depth", []int64{1, 2, 4, 8, 16, 32, 64, 128, 256}).Observe(int64(s.sched.Len()))
 	admit.Attr("outcome", "queued").Attr("job", j.id)
@@ -561,11 +565,11 @@ func (s *Service) newJobLocked(spec experiments.Spec, key cache.Key, deadline, n
 	return j
 }
 
-// waitEstimateLocked predicts how long a newly queued job waits for a
-// worker: the queued backlog divided across the pool, paced by the
-// observed average job duration (half a second until measured). In
-// partition mode the "pool" is how many default-size partitions the
-// machine holds.
+// waitEstimateLocked predicts how long a newly queued job waits to be
+// placed: the queued backlog divided across the Workers slots, paced
+// by the observed average job duration (half a second until
+// measured). In partition mode the slots are how many default-size
+// partitions the machine holds.
 func (s *Service) waitEstimateLocked() time.Duration {
 	avg := s.avgRunSecs
 	if avg <= 0 {
@@ -588,118 +592,103 @@ func (s *Service) floorRetry(d time.Duration) time.Duration {
 	return d
 }
 
-// worker executes queued jobs until the queue is closed and drained.
-// Pop order is the scheduling policy (FCFS or priority-SJF).
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for {
-		j, ok := s.sched.Pop()
-		if !ok {
-			return
-		}
-		if !s.beginJob(j) {
-			continue
-		}
-		result, err := s.execute(j, nil)
-		s.finishJob(j, result, err, nil)
-	}
-}
-
-// dispatcher is the partition-mode replacement for the worker pool:
-// it pulls admitted jobs into a pending list and packs them onto free
-// subcube partitions of the shared machine, waking on every arrival
-// and every released lease. A free region goes to the first pending
-// job that fits (partition.Pick); each placed job runs on its own
-// goroutine for as long as its lease lasts, so concurrency is bounded
-// by the machine's PEs, not a worker count. Drain semantics match the
-// pool: once the queue closes, everything pending is still placed and
-// every running job finishes before the dispatcher exits.
+// dispatcher is the queue's only consumer. Each round it sheds queued
+// jobs whose deadline has passed, then pops (TryPopFit) and starts
+// every job the free capacity fits: any job while one of the Workers
+// slots is free, or in partition mode a job whose pes fits a free
+// subcube of the shared machine. Each placed job runs on its own
+// goroutine (runJob, counted in s.wg) until it gives its capacity
+// back. The dispatcher sleeps until the next arrival, release or
+// drain; once draining, it exits after placing everything queued.
 func (s *Service) dispatcher() {
 	defer s.wg.Done()
-	var pending []*job
-	var running sync.WaitGroup
 	for {
-		// Drain every queued arrival so the scan sees the whole
-		// backlog, then order it by the scheduling policy: Pick takes
-		// the first fit scanning in order, so SJF ordering here is
-		// what lets urgent cheap jobs claim freed regions first.
+		now := s.now()
+		for _, j := range s.sched.Shed(func(j *job) bool { return !j.deadline.IsZero() && now.After(j.deadline) }) {
+			s.expireQueued(j)
+		}
 		for {
-			j, ok := s.sched.TryPop()
+			j, ok := s.sched.TryPopFit(s.fitter())
 			if !ok {
 				break
 			}
-			pending = append(pending, j)
-		}
-		s.sched.sortPending(pending)
-		pending = s.shedExpired(pending)
-		for {
-			pes := make([]int, len(pending))
-			for i, j := range pending {
-				pes[i] = j.spec.PEs
-			}
-			idx := partition.Pick(s.machine, pes)
-			if idx < 0 {
-				break
-			}
-			j := pending[idx]
-			pending = append(pending[:idx], pending[idx+1:]...)
-			lease, err := s.machine.Acquire(j.spec.PEs)
+			lease, err := s.acquire(j)
 			if err != nil {
-				// Unreachable in practice: Pick verified the fit and
-				// only the dispatcher allocates. Fail the job rather
-				// than wedge the queue.
+				// Unreachable in practice: the fit probe verified the
+				// partition and only the dispatcher allocates. Fail the
+				// job rather than wedge the queue.
 				if s.beginJob(j) {
 					s.finishJob(j, nil, err, nil)
 				}
 				continue
 			}
 			if !s.beginJob(j) { // expired at the last instant
-				lease.Release()
+				s.release(lease)
 				continue
 			}
-			running.Add(1)
-			go s.runPartitionJob(j, lease, &running)
+			s.wg.Add(1)
+			go s.runJob(j, lease)
 		}
-		if s.sched.Drained() && len(pending) == 0 {
-			break
+		if s.sched.Drained() {
+			return
 		}
-		select {
-		case <-s.sched.arrivals:
-		case <-s.partWake:
-		}
+		<-s.wake
 	}
-	running.Wait()
 }
 
-// runPartitionJob executes one job inside its partition lease, returns
-// the PEs and wakes the dispatcher, then finishes the job: the PEs are
-// free by the time the job reads as terminal.
-func (s *Service) runPartitionJob(j *job, lease *partition.Lease, running *sync.WaitGroup) {
-	defer running.Done()
-	result, err := s.execute(j, lease)
-	base, pes := lease.Base, lease.PEs
-	lease.Release()
+// nudge wakes the dispatcher without blocking.
+func (s *Service) nudge() {
 	select {
-	case s.partWake <- struct{}{}:
+	case s.wake <- struct{}{}:
 	default:
 	}
-	s.finishJob(j, result, err, func(run *telemetry.Span) {
-		run.Attr("partition_base", base).Attr("partition_pes", pes)
-	})
 }
 
-// shedExpired expires every pending job whose deadline has passed,
-// returning the survivors.
-func (s *Service) shedExpired(pending []*job) []*job {
-	kept := pending[:0]
-	for _, j := range pending {
-		if !j.deadline.IsZero() && s.now().After(j.deadline) {
-			s.expireQueued(j)
-			continue
-		}
-		kept = append(kept, j)
+// fitter snapshots the free capacity and returns the fit predicate
+// over it: while a worker slot is free every job fits; in partition
+// mode a job fits when its pes is at most the largest free subcube.
+// One snapshot per pop keeps the fitting set consistent while running
+// jobs release concurrently; only the dispatcher takes capacity, so a
+// snapshot can only under-report, and a release after it wakes the
+// dispatcher for another round.
+func (s *Service) fitter() func(*job) bool {
+	if s.machine == nil {
+		free := s.freeSlots.Load() > 0
+		return func(*job) bool { return free }
 	}
-	return kept
+	largest := s.machine.LargestFree()
+	return func(j *job) bool { return j.spec.PEs <= largest }
+}
+
+// acquire takes the capacity a popped job runs on: a partition lease
+// in partition mode, otherwise a worker slot (nil lease).
+func (s *Service) acquire(j *job) (*partition.Lease, error) {
+	if s.machine == nil {
+		s.freeSlots.Add(-1)
+		return nil, nil
+	}
+	return s.machine.Acquire(j.spec.PEs)
+}
+
+// release gives acquired capacity back and wakes the dispatcher.
+func (s *Service) release(lease *partition.Lease) {
+	if lease != nil {
+		lease.Release()
+	} else {
+		s.freeSlots.Add(1)
+	}
+	s.nudge()
+}
+
+// runJob executes one placed job on its capacity (lease nil: a worker
+// slot), gives the capacity back and wakes the dispatcher, then
+// finishes the job: the capacity is free by the time the job reads as
+// terminal.
+func (s *Service) runJob(j *job, lease *partition.Lease) {
+	defer s.wg.Done()
+	result, err := s.execute(j, lease)
+	s.release(lease)
+	s.finishJob(j, result, err, lease)
 }
 
 // beginJob transitions a dequeued job to running, or expires it if its
@@ -727,7 +716,7 @@ func (s *Service) beginJob(j *job) bool {
 }
 
 // expireQueued sheds a job whose deadline passed before it got a
-// worker or a partition. Its trace is finished before the expired
+// slot or a partition. Its trace is finished before the expired
 // state becomes visible.
 func (s *Service) expireQueued(j *job) {
 	now := s.now()
@@ -750,11 +739,10 @@ func (s *Service) expireQueuedLocked(j *job, now time.Time) {
 }
 
 // finishJob records a finished execution: caching, the run span
-// (decorate, when non-nil, adds mode-specific span attributes),
-// metrics, the state transition, and the structured log line. The
+// (with the partition's placement when lease is non-nil), metrics, the state transition, and the structured log line. The
 // trace is finished before the terminal state and j.done become
 // visible, so whoever sees the job terminal also sees its trace done.
-func (s *Service) finishJob(j *job, result []byte, err error, decorate func(*telemetry.Span)) {
+func (s *Service) finishJob(j *job, result []byte, err error, lease *partition.Lease) {
 	state, errMsg := StateDone, ""
 	switch {
 	case err != nil && errors.Is(err, context.DeadlineExceeded):
@@ -782,8 +770,8 @@ func (s *Service) finishJob(j *job, result []byte, err error, decorate func(*tel
 				run.Attr("slo_ms", j.slo)
 			}
 		}
-		if decorate != nil {
-			decorate(run)
+		if lease != nil {
+			run.Attr("partition_base", lease.Base).Attr("partition_pes", lease.PEs)
 		}
 		if errMsg != "" {
 			run.Attr("error", errMsg)
@@ -836,8 +824,8 @@ func (s *Service) finishJob(j *job, result []byte, err error, decorate func(*tel
 }
 
 // logJob emits one structured line per terminal job (nil logger: one
-// pointer test). Reads j without mu: the job is terminal and this
-// worker owns it.
+// pointer test). Reads j without mu: the job is terminal and its
+// caller owns it.
 func (s *Service) logJob(j *job) {
 	if s.log == nil {
 		return
@@ -877,8 +865,8 @@ func durMs(from, to time.Time) float64 {
 }
 
 // execute runs one job under its deadline with panic isolation: a
-// panicking run (real or injected) fails only this job — the worker
-// goroutine survives, which is the pool's self-healing property. The
+// panicking run (real or injected) fails only this job — its runJob
+// still returns the capacity, so the service self-heals. The
 // run-point fault check precedes execution, so injected errors and
 // panics exercise the same recovery paths real ones would. A traced
 // job additionally captures its simulated event stream (bridging the
@@ -1042,7 +1030,7 @@ type HealthInfo struct {
 	CacheEntries int    `json:"cache_entries"`
 	Workers      int    `json:"workers"`
 	// MachinePEs is the partition-mode machine size (0 when the
-	// instance runs the classic worker pool).
+	// instance runs on Workers slots).
 	MachinePEs int    `json:"machine_pes,omitempty"`
 	Code       string `json:"code"`
 }
@@ -1246,8 +1234,9 @@ func (s *Service) Metrics() map[string]float64 {
 
 // Shutdown begins draining: new submissions fail with ErrDraining,
 // every already-accepted job still executes, and Shutdown returns when
-// the queue is empty and all workers have stopped (or ctx expires, in
-// which case the remaining jobs keep draining in the background).
+// the queue is empty and every running job has finished (or ctx
+// expires, in which case the remaining jobs keep draining in the
+// background).
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
@@ -1255,6 +1244,7 @@ func (s *Service) Shutdown(ctx context.Context) error {
 		s.sched.Close()
 	}
 	s.mu.Unlock()
+	s.nudge()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()

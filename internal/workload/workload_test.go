@@ -194,7 +194,7 @@ func TestParseRejects(t *testing.T) {
 		"empty":          "",
 		"no header":      lines[1],
 		"bad version":    strings.Replace(lines[0], TraceVersion, "workload/tracev9", 1) + "\n" + lines[1],
-		"not json":       "{", // truncated header
+		"not json":       "{",      // truncated header
 		"count mismatch": lines[0], // header claims requests, none follow
 		"seq skip":       lines[0] + "\n" + lines[2],
 		"backwards time": lines[0] + "\n" + strings.Join([]string{lines[1], strings.Replace(lines[2], `"seq":1,"at_us":`, `"seq":1,"at_us":-9`, 1)}, "\n"),
@@ -236,12 +236,12 @@ func TestParseCohorts(t *testing.T) {
 
 	for _, bad := range []string{
 		"",
-		"rate=5,mix=table1",                   // no name
-		"name=x,mix=table1",                   // no rate
-		"name=x,rate=5",                       // no mix
-		"name=x,rate=5,mix=nosuchexp",         // unknown experiment
-		"name=x,rate=5,mix=cell(8,4,1)",       // cell arity
-		"name=x,rate=5,mix=table1,bogus=1",    // unknown key
+		"rate=5,mix=table1",                    // no name
+		"name=x,mix=table1",                    // no rate
+		"name=x,rate=5",                        // no mix
+		"name=x,rate=5,mix=nosuchexp",          // unknown experiment
+		"name=x,rate=5,mix=cell(8,4,1)",        // cell arity
+		"name=x,rate=5,mix=table1,bogus=1",     // unknown key
 		"name=x,rate=5,proc=pareto,mix=table1", // unknown process
 		"name=x,rate=5,mix=table1;name=x,rate=5,mix=table1", // dup handled by Generate, not here
 	} {

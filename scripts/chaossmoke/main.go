@@ -33,7 +33,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/experiments"
-	"repro/internal/service"
+	"repro/scripts/internal/smoke"
 )
 
 // chaosProfile exercises every fault point. Rates are high enough that
@@ -107,7 +107,7 @@ func run() error {
 	}
 	defer daemon.Process.Kill()
 
-	addr, err := waitForFile(addrFile, 15*time.Second)
+	addr, err := smoke.WaitForFile(addrFile, 15*time.Second)
 	if err != nil {
 		return err
 	}
@@ -129,12 +129,12 @@ func run() error {
 	// (never lost or stuck) and completed bytes are always correct.
 	var accepted, failedRuns int
 	for i, spec := range specs() {
-		got, attempts, err := runToCompletion(ctx, cl, spec, 40)
+		got, attempts, err := smoke.RunToCompletion(ctx, cl, spec, client.SubmitOptions{}, 40, false)
 		if err != nil {
 			return fmt.Errorf("spec %d never completed: %v", i, err)
 		}
-		accepted += attempts.accepted
-		failedRuns += attempts.failed
+		accepted += attempts.Accepted
+		failedRuns += attempts.Failed
 		if !bytes.Equal(got, want[i]) {
 			return fmt.Errorf("spec %d: result differs from fault-free local run\nserved:\n%s\nlocal:\n%s", i, got, want[i])
 		}
@@ -174,71 +174,4 @@ func run() error {
 	}
 	fmt.Fprintln(os.Stderr, "chaossmoke: clean drain after chaos ✓")
 	return nil
-}
-
-type attemptCount struct {
-	accepted int // jobs the daemon admitted
-	failed   int // admitted jobs that ended failed (injected faults)
-}
-
-// runToCompletion submits spec until one admitted job finishes done,
-// returning its result bytes. Every admitted job is waited to a
-// terminal state — a job that never settles is an invariant violation,
-// not a retryable condition.
-func runToCompletion(ctx context.Context, cl *client.Client, spec experiments.Spec, maxSubmits int) ([]byte, attemptCount, error) {
-	var count attemptCount
-	for s := 0; s < maxSubmits; s++ {
-		st, err := cl.Submit(ctx, spec, client.SubmitOptions{})
-		if err != nil {
-			// Submission itself exhausted its retries (injected admission
-			// or HTTP faults); nothing was accepted, try again.
-			continue
-		}
-		count.accepted++
-		st, err = waitTerminal(ctx, cl, st.ID)
-		if err != nil {
-			return nil, count, fmt.Errorf("accepted job %s lost: %v", st.ID, err)
-		}
-		switch st.State {
-		case service.StateDone:
-			res, err := cl.Result(ctx, st.ID)
-			if err != nil {
-				return nil, count, fmt.Errorf("result of done job %s: %v", st.ID, err)
-			}
-			return res, count, nil
-		case service.StateFailed:
-			count.failed++ // injected run fault or panic: resubmit
-		default:
-			return nil, count, fmt.Errorf("job %s ended %s (%s)", st.ID, st.State, st.Error)
-		}
-	}
-	return nil, count, fmt.Errorf("no success in %d submissions", maxSubmits)
-}
-
-// waitTerminal polls (rather than long-polls) so injected HTTP faults
-// on individual status reads are retried quickly by the client policy.
-func waitTerminal(ctx context.Context, cl *client.Client, id string) (service.JobStatus, error) {
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		st, err := cl.Job(ctx, id)
-		if err != nil {
-			return service.JobStatus{}, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	return service.JobStatus{}, fmt.Errorf("job %s not terminal after 60s", id)
-}
-
-func waitForFile(path string, timeout time.Duration) (string, error) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if b, err := os.ReadFile(path); err == nil && len(b) > 0 {
-			return string(b), nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return "", fmt.Errorf("timed out waiting for %s", path)
 }

@@ -34,7 +34,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/experiments"
-	"repro/internal/service"
+	"repro/scripts/internal/smoke"
 )
 
 func main() {
@@ -113,7 +113,7 @@ func run() error {
 		if err := cmd.Start(); err != nil {
 			return nil, fmt.Errorf("starting replica %s: %v", name, err)
 		}
-		bound, err := waitForFile(addrFile, 15*time.Second)
+		bound, err := smoke.WaitForFile(addrFile, 15*time.Second)
 		if err != nil {
 			cmd.Process.Kill()
 			return nil, err
@@ -156,7 +156,7 @@ func run() error {
 		return fmt.Errorf("starting pasmgw: %v", err)
 	}
 	defer gw.Process.Kill()
-	gwAddr, err := waitForFile(gwAddrFile, 15*time.Second)
+	gwAddr, err := smoke.WaitForFile(gwAddrFile, 15*time.Second)
 	if err != nil {
 		return err
 	}
@@ -267,7 +267,7 @@ func drivePhase(ctx context.Context, cl *client.Client, name string, ss []experi
 		return err
 	}
 	for i, spec := range ss {
-		got, err := runToCompletion(ctx, cl, spec, 40)
+		got, _, err := smoke.RunToCompletion(ctx, cl, spec, client.SubmitOptions{Wait: 30 * time.Second}, 40, true)
 		if err != nil {
 			return fmt.Errorf("phase %s: spec %d never completed: %v", name, i, err)
 		}
@@ -277,51 +277,6 @@ func drivePhase(ctx context.Context, cl *client.Client, name string, ss []experi
 	}
 	fmt.Fprintf(os.Stderr, "clustersmoke: phase %s: %d specs byte-identical ✓\n", name, len(ss))
 	return nil
-}
-
-// runToCompletion submits until an accepted job reaches done, fetching
-// its result. Failed or lost jobs (killed replica) are resubmitted.
-func runToCompletion(ctx context.Context, cl *client.Client, spec experiments.Spec, maxSubmits int) ([]byte, error) {
-	var lastErr error
-	for s := 0; s < maxSubmits; s++ {
-		st, err := cl.Submit(ctx, spec, client.SubmitOptions{Wait: 30 * time.Second})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if !st.State.Terminal() {
-			if st, err = waitTerminal(ctx, cl, st.ID); err != nil {
-				lastErr = err // job likely died with its replica: resubmit
-				continue
-			}
-		}
-		if st.State != service.StateDone {
-			lastErr = fmt.Errorf("job %s ended %s (%s)", st.ID, st.State, st.Error)
-			continue
-		}
-		res, err := cl.Result(ctx, st.ID)
-		if err != nil {
-			lastErr = fmt.Errorf("result of done job %s: %v", st.ID, err)
-			continue
-		}
-		return res, nil
-	}
-	return nil, fmt.Errorf("no success in %d submissions (last: %v)", maxSubmits, lastErr)
-}
-
-func waitTerminal(ctx context.Context, cl *client.Client, id string) (service.JobStatus, error) {
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		st, err := cl.Job(ctx, id)
-		if err != nil {
-			return service.JobStatus{}, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	return service.JobStatus{}, fmt.Errorf("job %s not terminal after 60s", id)
 }
 
 // waitMetric polls the gateway until the metric reaches min.
@@ -354,15 +309,4 @@ func waitExit(cmd *exec.Cmd, timeout time.Duration) error {
 		cmd.Process.Kill()
 		return fmt.Errorf("no exit within %s", timeout)
 	}
-}
-
-func waitForFile(path string, timeout time.Duration) (string, error) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if b, err := os.ReadFile(path); err == nil && len(b) > 0 {
-			return string(b), nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return "", fmt.Errorf("timed out waiting for %s", path)
 }

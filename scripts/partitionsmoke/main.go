@@ -34,6 +34,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/experiments"
 	"repro/internal/service"
+	"repro/scripts/internal/smoke"
 )
 
 func main() {
@@ -93,7 +94,7 @@ func run() error {
 	}
 	defer daemon.Process.Kill()
 
-	addrRaw, err := waitForFile(addrFile, 15*time.Second)
+	addrRaw, err := smoke.WaitForFile(addrFile, 15*time.Second)
 	if err != nil {
 		return err
 	}
@@ -240,7 +241,7 @@ func run() error {
 	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
 		return fmt.Errorf("SIGTERM: %v", err)
 	}
-	if err := waitForDraining(ctx, cl); err != nil {
+	if err := smoke.WaitForDraining(ctx, cl); err != nil {
 		return err
 	}
 	if _, err = cl.Submit(ctx, slowSpec(16, 7999), client.SubmitOptions{}); !errors.As(err, &apiErr) || apiErr.Status != 503 {
@@ -272,27 +273,4 @@ func run() error {
 	}
 	fmt.Fprintln(os.Stderr, "partitionsmoke: clean exit after drain ✓")
 	return nil
-}
-
-func waitForFile(path string, timeout time.Duration) (string, error) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if b, err := os.ReadFile(path); err == nil && len(b) > 0 {
-			return string(b), nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return "", fmt.Errorf("timed out waiting for %s", path)
-}
-
-func waitForDraining(ctx context.Context, cl *client.Client) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		h, err := cl.Health(ctx)
-		if err == nil && h["draining"] == true {
-			return nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return errors.New("daemon never reported draining after SIGTERM")
 }

@@ -28,6 +28,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/experiments"
 	"repro/internal/service"
+	"repro/scripts/internal/smoke"
 )
 
 func main() {
@@ -81,7 +82,7 @@ func run() error {
 	}
 	defer daemon.Process.Kill()
 
-	addr, err := waitForFile(addrFile, 15*time.Second)
+	addr, err := smoke.WaitForFile(addrFile, 15*time.Second)
 	if err != nil {
 		return err
 	}
@@ -171,7 +172,7 @@ func run() error {
 	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
 		return fmt.Errorf("SIGTERM: %v", err)
 	}
-	if err := waitForDraining(ctx, cl); err != nil {
+	if err := smoke.WaitForDraining(ctx, cl); err != nil {
 		return err
 	}
 	if _, err = cl.Submit(ctx, slowSpec(4), client.SubmitOptions{}); !errors.As(err, &apiErr) || apiErr.Status != 503 {
@@ -205,17 +206,6 @@ func run() error {
 	return nil
 }
 
-func waitForFile(path string, timeout time.Duration) (string, error) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if b, err := os.ReadFile(path); err == nil && len(b) > 0 {
-			return string(b), nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return "", fmt.Errorf("timed out waiting for %s", path)
-}
-
 func waitForState(ctx context.Context, cl *client.Client, id string, want service.State) error {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
@@ -232,16 +222,4 @@ func waitForState(ctx context.Context, cl *client.Client, id string, want servic
 		time.Sleep(20 * time.Millisecond)
 	}
 	return fmt.Errorf("timed out waiting for %s -> %s", id, want)
-}
-
-func waitForDraining(ctx context.Context, cl *client.Client) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		h, err := cl.Health(ctx)
-		if err == nil && h["draining"] == true {
-			return nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return errors.New("daemon never reported draining after SIGTERM")
 }

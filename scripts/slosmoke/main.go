@@ -30,6 +30,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/experiments"
 	"repro/internal/workload"
+	"repro/scripts/internal/smoke"
 )
 
 const goldenTrace = "internal/workload/testdata/golden_200.tracev1"
@@ -82,17 +83,12 @@ func startDaemon(dir, pasmd, tag string, extra ...string) (*client.Client, func(
 		return nil, nil, fmt.Errorf("starting pasmd: %v", err)
 	}
 	stop := func() { daemon.Process.Kill(); daemon.Wait() }
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if raw, err := os.ReadFile(addrFile); err == nil && len(raw) > 0 {
-			return client.New(strings.TrimSpace(string(raw))), stop, nil
-		}
-		if time.Now().After(deadline) {
-			stop()
-			return nil, nil, errors.New("pasmd never wrote its address file")
-		}
-		time.Sleep(50 * time.Millisecond)
+	raw, err := smoke.WaitForFile(addrFile, 15*time.Second)
+	if err != nil {
+		stop()
+		return nil, nil, fmt.Errorf("pasmd never wrote its address file: %v", err)
 	}
+	return client.New(strings.TrimSpace(raw)), stop, nil
 }
 
 // sloReplay drives the golden trace open-loop (at 2x speed — the

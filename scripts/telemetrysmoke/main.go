@@ -35,6 +35,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
+	"repro/scripts/internal/smoke"
 )
 
 func main() {
@@ -88,7 +89,7 @@ func run() error {
 		if err := cmd.Start(); err != nil {
 			return fmt.Errorf("starting replica %s: %v", name, err)
 		}
-		bound, err := waitForFile(addrFile, 15*time.Second)
+		bound, err := smoke.WaitForFile(addrFile, 15*time.Second)
 		if err != nil {
 			cmd.Process.Kill()
 			return err
@@ -109,7 +110,7 @@ func run() error {
 		return fmt.Errorf("starting pasmgw: %v", err)
 	}
 	defer gw.Process.Kill()
-	gwAddr, err := waitForFile(gwAddrFile, 15*time.Second)
+	gwAddr, err := smoke.WaitForFile(gwAddrFile, 15*time.Second)
 	if err != nil {
 		return err
 	}
@@ -270,17 +271,4 @@ func httpGet(addr, path string) ([]byte, error) {
 		return nil, fmt.Errorf("GET %s: %d: %s", path, resp.StatusCode, strings.TrimSpace(string(data)))
 	}
 	return data, nil
-}
-
-// waitForFile polls for an -addr-file to appear (replicas and the
-// gateway write their bound addresses there).
-func waitForFile(path string, timeout time.Duration) (string, error) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if data, err := os.ReadFile(path); err == nil && len(data) > 0 {
-			return string(data), nil
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return "", fmt.Errorf("timed out waiting for %s", path)
 }
