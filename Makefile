@@ -39,11 +39,14 @@ ci: build fmt vet test perfbench-test race bench-smoke bench-interp trace-smoke 
 cover:
 	$(GO) run ./scripts/covercheck
 
-# End-to-end exporter check: run a small S/MIMD job with -trace-out and
-# validate the emitted Chrome trace against the exporter's schema.
+# End-to-end exporter check: run small S/MIMD, SIMD and mixed-mode jobs
+# with -trace-out and validate each emitted Chrome trace against the
+# exporter's schema.
 trace-smoke:
-	$(GO) run ./cmd/pasmrun -n 8 -p 2 -mode smimd -trace-out pasmrun.trace.json >/dev/null
-	$(GO) run ./scripts/tracecheck pasmrun.trace.json
+	for mode in smimd simd mixed; do \
+		$(GO) run ./cmd/pasmrun -n 8 -p 2 -mode $$mode -trace-out pasmrun.trace.json >/dev/null && \
+		$(GO) run ./scripts/tracecheck pasmrun.trace.json || exit 1; \
+	done
 	rm -f pasmrun.trace.json
 
 # End-to-end serving check: build pasmd + pasmbench, start a daemon,

@@ -59,6 +59,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/matmul"
 	"repro/internal/obs"
+	"repro/internal/pasm"
 )
 
 func main() {
@@ -289,7 +290,7 @@ func writeRepresentativeTrace(path string, opts experiments.Options) error {
 	if err != nil {
 		return err
 	}
-	if err := obs.WriteChromeTrace(f, rec, func(pc int) string { return prog.Instrs[pc].String() }); err != nil {
+	if err := obs.WriteChromeTrace(f, rec, pasm.Disasm(prog, false)); err != nil {
 		f.Close()
 		return err
 	}

@@ -150,7 +150,7 @@ func main() {
 	if *verify {
 		fmt.Println("  result verified against host reference")
 	}
-	disasm := func(pc int) string { return prog.Instrs[pc].String() }
+	disasm := pasm.Disasm(prog, spec.Mode == matmul.SIMD || spec.Mode == matmul.Mixed)
 	if *traceN > 0 {
 		fmt.Printf("\nlast %d events per unit (interleaved, simulated-time order):\n", *traceN)
 		if err := obs.WriteListing(os.Stdout, rec, disasm); err != nil {

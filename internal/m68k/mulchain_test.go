@@ -35,7 +35,7 @@ func mulsChainProgram(shape string, c int) string {
 
 // TestSuperMulsChainsMatchReference is the super tier's differential
 // for element kernels and loops with muls chains of 1..31 members: the
-// closed-form refresh run and product of runKernelLoop's chain tail,
+// stall walk and closed-form product of runKernelLoop's chain tail,
 // runLoop's and runSuper's fused-run arms must reproduce the reference
 // Step path (DisableExecTable) member by member. Every chain runs with
 // instruction fetches from memory on and off, the FixedMulCycles

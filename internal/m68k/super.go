@@ -272,10 +272,12 @@ func loopKind(k uint8) bool {
 // executor cannot use: the multiplier register dR is never written
 // inside the loop (its data-dependent MULU time is hoisted), the DBRA
 // condition is F (no flag reads anywhere, so interior flag writes are
-// dead and only the last writer per iteration is materialized), and
-// every register the loop touches is distinct (locals cannot alias).
+// dead and only the last writer of the final iteration is
+// materialized), and every register the loop touches is distinct
+// (locals cannot alias). A kernel is at most maxKernelChecks
+// instructions long.
 func kernelShape(sup []superOp, s, e int) bool {
-	if e < s+3 {
+	if e < s+3 || e-s+1 > maxKernelChecks {
 		return false
 	}
 	m0, m1, m2, db := &sup[s], &sup[s+1], &sup[s+2], &sup[e]
@@ -317,6 +319,11 @@ func kernelShape(sup []superOp, s, e int) bool {
 	}
 	return true
 }
+
+// maxKernelChecks bounds an element kernel's length (its refresh
+// check points with instruction fetches on: one per member), so
+// runKernelLoop's per-call tables live on the stack.
+const maxKernelChecks = 64
 
 // MuluRun describes a fused run of identical register MULUs: Len
 // consecutive `MULU Src,Dst` instructions (Src never written inside
@@ -1355,165 +1362,179 @@ loop:
 }
 
 // runKernelLoop executes whole iterations of a kernelShape block (see
-// there for the shape and its invariants) with every loop-carried value
-// in a local: the two walking pointers, the product register, the chain
-// register, the counter, the clock/refresh pair, and the flags (only
-// the iteration's last writers are materialized — the interior writes
-// are dead because DBRA reads no flags). The multiplier's MULU time is
-// computed once, outside the loop.
+// there for the shape and its invariants) in two passes.
 //
-// An iteration runs only when both memory operands pre-check clean
-// (non-device, aligned, inside the touched backing) and the budget
-// covers the full iteration; otherwise the executor flushes with c.PC
-// still at the block start and the caller's generic paths (runLoop, then
-// per-instruction dispatch) take over, so every bail, fault and
-// partial-budget case goes through the reference machinery. Cycle
-// arithmetic is member-by-member in program order, identical to
-// execSuperOp's.
+// The data pass runs the K iterations that are known, before any of
+// them runs, to complete on the fast path: K is the largest count the
+// step budget, the DBRA counter (the exit iteration included) and both
+// walking pointers allow (every word non-device, aligned and inside
+// the touched backing). It performs the load, the multiply and the
+// add-to-memory in program order, and takes the chain product and the
+// flags (only the last iteration's writers survive: DBRA reads none)
+// in closed form.
+//
+// The timing walk then charges the iterations without revisiting them:
+// every iteration costs the same L cycles (the multiplier's MULU time
+// is loop-invariant), so the clock is base + K·L + stalls·RefreshStall
+// (+4 for the exit variant of the final DBRA) and only the refresh
+// stalls need walking. A stall can fire only at a check point: an
+// instruction start, where the fetch and data Penalty calls read the
+// same start clock, so at most one fires per instruction. Without
+// FetchFromMem the check points are the two data-access instructions.
+// The first stall is the first check point at or after nextRefresh;
+// after a stall at a check point the next is the first check point at
+// least period−stall nominal cycles later, which depends only on the
+// check point, so a per-call transition table walks stall to stall.
+//
+// A zero K returns 0 with nothing touched: the caller's generic paths
+// (runLoop, then per-instruction dispatch) take the partial-budget,
+// bail and fault cases through the reference machinery.
 func (c *CPU) runKernelLoop(sup []superOp, start, end int, budget int64) int64 {
 	m0, m1, m2, db := &sup[start], &sup[start+1], &sup[start+2], &sup[end]
 	tail := sup[start+3 : end]
-	perIter := int64(end - start + 1)
+	ntail := int64(len(tail))
+	perIter := ntail + 4
 
 	mem := c.Mem
 	data := mem.data
-	msize := uint32(len(data))
-	ws := mem.WaitStates
-	rp := mem.RefreshPeriod
-	rs := mem.RefreshStall
-	nref := mem.nextRefresh
-	clock := c.Clock
-	clock0 := clock
-	fetchMem := c.FetchFromMem
-
-	src := c.D[m1.mreg] & 0xFFFF // loop-invariant multiplier
-	mt := c.muluTime(src)
-	// The muls chain runs as one closed-form refresh run (kernelShape
-	// guarantees identical members); without instruction fetches it
-	// touches no memory, so refresh cannot reach it.
-	ntail := int64(len(tail))
-	var tailPer, tailRP int64
-	if ntail > 0 {
-		tailPer = tail[0].base + mt
-		if fetchMem {
-			tailPer += ws * tail[0].words
-			tailRP = rp
-		}
-	}
-	a0 := c.A[m0.mreg]
-	a1 := c.A[m2.mreg]
-	d0 := c.D[m0.reg]
+	a0, a1 := c.A[m0.mreg], c.A[m2.mreg]
 	cnt := c.D[db.reg]
-	var dch uint32
-	if len(tail) > 0 {
-		dch = c.D[tail[0].reg]
+	left := int64(uint16(cnt)) + 1 // iterations to the DBRA exit
+	k := min(budget/perIter, left,
+		kernelWords(a0, uint32(len(data))), kernelWords(a1, uint32(len(data))))
+	if k <= 0 {
+		return 0
 	}
-	var nf, zf, vf, cf, xf bool
-	var steps int64
-	exit := false
+	exit := k == left
 
-	for steps+perIter <= budget {
-		if a0 >= DeviceBase || a0&1 != 0 || a0+2 > msize ||
-			a1 >= DeviceBase || a1&1 != 0 || a1+2 > msize {
-			break // let the generic path run (and bail inside) this iteration
-		}
-		// move.w (a0)+, d0
-		cyc := m0.base
-		if fetchMem {
-			cyc += ws * m0.words
-			if rp > 0 && clock >= nref {
-				cyc += rs
-				nref = clock + rp
-			}
-		}
-		cyc += ws // one data access
-		if rp > 0 && clock >= nref {
-			cyc += rs
-			nref = clock + rp
-		}
-		d0 = d0&^0xFFFF | uint32(data[a0])<<8 | uint32(data[a0+1])
-		a0 += uint32(m0.inc)
-		clock += cyc
-		// mulu.w dR, d0
-		cyc = m1.base + mt
-		if fetchMem {
-			cyc += ws * m1.words
-			if rp > 0 && clock >= nref {
-				cyc += rs
-				nref = clock + rp
-			}
-		}
-		d0 = (d0 & 0xFFFF) * src
-		clock += cyc
-		// add.w d0, (a1)+
-		cyc = m2.base
-		if fetchMem {
-			cyc += ws * m2.words
-			if rp > 0 && clock >= nref {
-				cyc += rs
-				nref = clock + rp
-			}
-		}
-		cyc += ws * 2 // read-modify-write: two data accesses
-		if rp > 0 && clock >= nref {
-			cyc += rs
-			nref = clock + rp
-		}
-		s2 := d0 & 0xFFFF
-		old := uint32(data[a1])<<8 | uint32(data[a1+1])
-		rm := (old + s2) & 0xFFFF
+	// Data pass.
+	src := c.D[m1.mreg] & 0xFFFF // loop-invariant multiplier
+	var d0, old, s2, rm uint32
+	for i := int64(0); i < k; i++ {
+		d0 = (uint32(data[a0])<<8 | uint32(data[a0+1])) * src
+		a0 += 2
+		s2 = d0 & 0xFFFF
+		old = uint32(data[a1])<<8 | uint32(data[a1+1])
+		rm = (old + s2) & 0xFFFF
 		data[a1] = byte(rm >> 8)
 		data[a1+1] = byte(rm)
-		a1 += uint32(m2.inc)
-		nf, zf = rm&0x8000 != 0, rm == 0
-		vf = (old&0x8000 == s2&0x8000) && (rm&0x8000 != old&0x8000)
-		cf = old+s2 > 0xFFFF
-		xf = cf
-		clock += cyc
-		// muls chain (flags land on the final product)
-		if ntail > 0 {
-			clock, nref = refreshRun(clock, nref, ntail, tailPer, tailRP, rs)
-			dch = MuluRunProduct(dch, src, int(ntail))
-			nf, zf, vf, cf = dch&0x80000000 != 0, dch == 0, false, false
-		}
-		// dbra dC, <start>
-		cyc = 10
-		if fetchMem {
-			cyc += ws * db.words
-			if rp > 0 && clock >= nref {
-				cyc += rs
-				nref = clock + rp
-			}
-		}
-		c16 := uint16(cnt) - 1
-		cnt = cnt&^0xFFFF | uint32(c16)
-		steps += perIter
-		if c16 == 0xFFFF {
-			clock += cyc + 4 // exit variant: 14 + fetch
-			exit = true
-			break
-		}
-		clock += cyc
+		a1 += 2
+	}
+	c.A[m0.mreg], c.A[m2.mreg] = a0, a1
+	c.D[m0.reg] = d0
+	c.D[db.reg] = cnt&^0xFFFF | uint32(uint16(cnt)-uint16(k))
+	c.C = old+s2 > 0xFFFF
+	c.X = c.C
+	if ntail > 0 {
+		dch := MuluRunProduct(c.D[tail[0].reg], src, int(k*ntail))
+		c.D[tail[0].reg] = dch
+		c.N, c.Z, c.V, c.C = dch&0x80000000 != 0, dch == 0, false, false
+	} else {
+		c.N, c.Z = rm&0x8000 != 0, rm == 0
+		c.V = old&0x8000 == s2&0x8000 && rm&0x8000 != old&0x8000
 	}
 
-	mem.nextRefresh = nref
-	c.Regions[m0.region] += clock - clock0
+	// Timing walk. c0, c1, c2 and ct (per chain member) are the
+	// members' cycles without a stall; the check points' nominal
+	// offsets in the iteration go to off.
+	mt := c.muluTime(src)
+	ws, rp, rs := mem.WaitStates, mem.RefreshPeriod, mem.RefreshStall
+	fetchMem := c.FetchFromMem
+	var fws int64 // wait states per instruction word fetched
+	if fetchMem {
+		fws = ws
+	}
+	c0 := m0.base + fws*m0.words + ws // one data access
+	c1 := m1.base + mt + fws*m1.words
+	c2 := m2.base + fws*m2.words + 2*ws // read-modify-write: two data accesses
+	var ct int64
+	if ntail > 0 {
+		ct = tail[0].base + mt + fws*tail[0].words
+	}
+	iterLen := c0 + c1 + c2 + ntail*ct + 10 + fws*db.words
+	base := c.Clock
+	clock := base + k*iterLen
+	if exit {
+		clock += 4 // exit variant: 14 + fetch
+	}
+	if rp > 0 {
+		var off [maxKernelChecks]int64
+		n := 0
+		if fetchMem {
+			o := int64(0)
+			for _, cyc := range [3]int64{c0, c1, c2} {
+				off[n], n, o = o, n+1, o+cyc
+			}
+			for range ntail {
+				off[n], n, o = o, n+1, o+ct
+			}
+			off[n], n = o, n+1
+		} else {
+			off[0], off[1], n = 0, c0+c1, 2
+		}
+		// The first stall: the first check point whose start clock
+		// reaches nextRefresh.
+		i, j := int64(0), 0
+		if d := mem.nextRefresh - base; d > 0 {
+			i = d / iterLen
+			for r := d - i*iterLen; j < n && off[j] < r; j++ {
+			}
+			if j == n {
+				i, j = i+1, 0
+			}
+		}
+		if i < k {
+			// next[j] is the check point (Δiteration, index) of the
+			// stall after one at check point j: the first one at least
+			// period−stall nominal cycles on, and at least the next
+			// one (member costs are positive, so offsets strictly
+			// increase). One pointer sweep builds it.
+			var next [maxKernelChecks]struct {
+				di int64
+				j  int
+			}
+			gap := max(rp-rs, 1)
+			di, jj := gap/iterLen, 0
+			for q := 0; q < n; q++ {
+				for x := off[q] + gap; di*iterLen+off[jj] < x; {
+					if jj++; jj == n {
+						di, jj = di+1, 0
+					}
+				}
+				next[q].di, next[q].j = di, jj
+			}
+			var stalls, at int64
+			for i < k {
+				at = base + i*iterLen + off[j] + stalls*rs
+				stalls++
+				i, j = i+next[j].di, next[j].j
+			}
+			mem.nextRefresh = at + rp
+			clock += stalls * rs
+		}
+	}
+
+	c.Regions[m0.region] += clock - base
 	c.Clock = clock
-	c.A[m0.mreg] = a0
-	c.A[m2.mreg] = a1
-	c.D[m0.reg] = d0
-	c.D[db.reg] = cnt
-	if len(tail) > 0 {
-		c.D[tail[0].reg] = dch
-	}
+	steps := k * perIter
 	c.InstrCount += steps
-	if steps > 0 {
-		c.N, c.Z, c.V, c.C, c.X = nf, zf, vf, cf, xf
-	}
 	if exit {
 		c.PC = end + 1
 	} else {
 		c.PC = start
 	}
 	return steps
+}
+
+// kernelWords returns how many consecutive words a kernel pointer at
+// addr can walk before its per-iteration pre-check fails: each word
+// must be aligned, below the device window and inside the n-byte
+// touched backing (DeviceBase is even, so an even address is below it
+// exactly when its word ends at or before it).
+func kernelWords(addr, n uint32) int64 {
+	lim := min(n, DeviceBase)
+	if addr&1 != 0 || addr >= lim {
+		return 0
+	}
+	return int64((lim - addr) / 2)
 }

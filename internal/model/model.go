@@ -17,7 +17,10 @@
 // Figure 7 crossover location follow.
 package model
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // TSimd evaluates the paper's SIMD time equation for an instruction
 // time matrix t[j][k] (instruction j, PE k).
@@ -142,6 +145,11 @@ func DecouplingGainPerMul(p int) float64 {
 // barrier-granularity term below: per-synchronization-interval sums of
 // many instruction times are approximately normal, and the critical
 // path charges their maximum over the p PEs once per interval.
+//
+// Every power of two up to 1024 — each PE count and MC group count a
+// machine can have — is read from meanMaxNormalPow2, which holds the
+// integral's exact results, so the service's cost prediction does not
+// pay an 8,000-step integral per call; any other p integrates.
 func MeanMaxNormal(p int) float64 {
 	if p < 1 {
 		return math.NaN()
@@ -149,6 +157,31 @@ func MeanMaxNormal(p int) float64 {
 	if p == 1 {
 		return 0
 	}
+	if k := bits.TrailingZeros(uint(p)); p&(p-1) == 0 && k <= len(meanMaxNormalPow2) {
+		return meanMaxNormalPow2[k-1]
+	}
+	return meanMaxNormalIntegral(p)
+}
+
+// meanMaxNormalPow2[k-1] is meanMaxNormalIntegral(1<<k), printed in
+// the shortest form that parses back to the same float64 (the model
+// tests compare every entry with the integral bit for bit).
+var meanMaxNormalPow2 = [...]float64{
+	0.5641895835477448, // 2
+	1.029375373003945,  // 4
+	1.4236003060452347, // 8
+	1.765991393054703,  // 16
+	2.06966882792874,   // 32
+	2.3437334650791217, // 64
+	2.5945973685988153, // 128
+	2.826863278937942,  // 256
+	3.0439031612018113, // 512
+	3.2482396013702153, // 1024
+}
+
+// meanMaxNormalIntegral is MeanMaxNormal's trapezoidal integral over
+// [-8, 8] in 8,000 steps, for p >= 2.
+func meanMaxNormalIntegral(p int) float64 {
 	const (
 		lo, hi = -8.0, 8.0
 		steps  = 8000

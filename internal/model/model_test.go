@@ -148,6 +148,24 @@ func TestMeanMaxNormal(t *testing.T) {
 	}
 }
 
+// TestMeanMaxNormalTable: every tabulated power of two returns exactly
+// the integral's float64, and a p off the table (odd, non-power-of-two
+// or past 1024) still integrates.
+func TestMeanMaxNormalTable(t *testing.T) {
+	for k := 1; k <= len(meanMaxNormalPow2); k++ {
+		p := 1 << k
+		if got, want := MeanMaxNormal(p), meanMaxNormalIntegral(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("MeanMaxNormal(%d) = %v, integral %v", p, got, want)
+		}
+	}
+	for p, want := range map[int]float64{3: 0.8463, 6: 1.2672, 2048: 3.4417} {
+		got := MeanMaxNormal(p)
+		if got != meanMaxNormalIntegral(p) || math.Abs(got-want) > 0.002 {
+			t.Errorf("MeanMaxNormal(%d) = %v, want the integral, about %v", p, got, want)
+		}
+	}
+}
+
 func TestSyncExcess(t *testing.T) {
 	if SyncExcessPerMul(1, 16) != 0 {
 		t.Error("no sync excess for one PE")

@@ -47,7 +47,7 @@ type ChromeTrace struct {
 // their positions; nil keeps raw cycles. The process_name metadata is
 // the caller's to emit (WriteChromeTrace names the lone process; the
 // telemetry merge names one process per clock domain).
-func ChromeEvents(r *Recorder, disasm func(pc int) string, pid, tidBase int, ts func(clock int64) float64) []TraceEvent {
+func ChromeEvents(r *Recorder, disasm Disasm, pid, tidBase int, ts func(clock int64) float64) []TraceEvent {
 	units := r.Units()
 	merged := r.Merged()
 	evs := make([]TraceEvent, 0, 2*len(units)+len(merged))
@@ -84,7 +84,7 @@ func ChromeEvents(r *Recorder, disasm func(pc int) string, pid, tidBase int, ts 
 // is used. Output is fully deterministic: metadata in unit order, then
 // events in merged (Clock, Unit, Seq) order, with JSON maps marshaled
 // key-sorted by encoding/json.
-func WriteChromeTrace(w io.Writer, r *Recorder, disasm func(pc int) string) error {
+func WriteChromeTrace(w io.Writer, r *Recorder, disasm Disasm) error {
 	evs := make([]TraceEvent, 0, 1)
 	evs = append(evs, TraceEvent{
 		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
@@ -104,10 +104,26 @@ func WriteChromeTrace(w io.Writer, r *Recorder, disasm func(pc int) string) erro
 	return err
 }
 
+// Disasm names a KindInstr event's instruction from its unit's name
+// and program counter. It returns "" when the unit's PCs do not index
+// a program (the exporters then use the event's mnemonic); a nil
+// Disasm names every instruction by mnemonic.
+type Disasm func(unit string, pc int) string
+
+// name returns the instruction text of KindInstr event ev on unit.
+func (d Disasm) name(unit string, ev Event) string {
+	if d != nil {
+		if s := d(unit, int(ev.PC)); s != "" {
+			return s
+		}
+	}
+	return m68k.Op(ev.Arg).String()
+}
+
 // convertEvent maps one simulator event onto a trace event in the raw
 // cycle timebase. Slice events span [Clock-Dur, Clock]; instants sit
 // at Clock.
-func convertEvent(ev Event, unit string, disasm func(pc int) string) TraceEvent {
+func convertEvent(ev Event, unit string, disasm Disasm) TraceEvent {
 	out := TraceEvent{Ts: float64(ev.Clock)}
 	slice := func(cat, name string) {
 		out.Ph, out.Cat, out.Name = "X", cat, name
@@ -119,11 +135,7 @@ func convertEvent(ev Event, unit string, disasm func(pc int) string) TraceEvent 
 	}
 	switch ev.Kind {
 	case KindInstr:
-		name := m68k.Op(ev.Arg).String()
-		if disasm != nil {
-			name = disasm(int(ev.PC))
-		}
-		slice("instr", name)
+		slice("instr", disasm.name(unit, ev))
 		out.Args = map[string]any{"pc": ev.PC}
 	case KindFetchEnqueue:
 		slice("fetch", "fetch-enqueue")

@@ -78,7 +78,7 @@ func TestChromeTraceSlicesSpanDuration(t *testing.T) {
 
 func TestChromeTraceDisasmNamesInstrs(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteChromeTrace(&buf, synthRecorder(), func(pc int) string { return "INSTR@3" })
+	err := WriteChromeTrace(&buf, synthRecorder(), func(unit string, pc int) string { return "INSTR@3" })
 	if err != nil {
 		t.Fatal(err)
 	}

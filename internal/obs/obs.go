@@ -249,13 +249,59 @@ func (u *Unit) Dropped() int64 { return u.recorded - int64(len(u.events)) }
 
 // Merged returns every unit's retained events merged into one stream
 // ordered by (Clock, Unit, Seq) — global simulated-time order with
-// deterministic tie-breaks, independent of host scheduling.
+// deterministic tie-breaks, independent of host scheduling. A unit's
+// buffer is already in that order when the unit emits in clock order,
+// which every PE does, so the buffers are k-way merged rather than
+// sorted together; a buffer out of order is sorted first (an MC's:
+// its fetch-enqueue events carry the time the words became ready,
+// earlier than the queue-depth sample emitted before them).
 func (r *Recorder) Merged() []Event {
-	var out []Event
+	// h is a binary min-heap of the units' runs keyed by their first
+	// events, which come from distinct units: (Clock, Unit) orders them.
+	var h [][]Event
+	n := 0
 	for _, u := range r.Units() {
-		out = append(out, u.Events()...)
+		// Read the buffer in place unless it is out of order, which a
+		// wrapped ring always is (its newest event precedes its oldest).
+		evs := u.events
+		if !slices.IsSortedFunc(evs, compareEvents) {
+			evs = u.Events()
+			slices.SortFunc(evs, compareEvents)
+		}
+		if len(evs) > 0 {
+			h = append(h, evs)
+			n += len(evs)
+		}
 	}
-	slices.SortFunc(out, compareEvents)
+	less := func(a, b *Event) bool { return a.Clock < b.Clock || a.Clock == b.Clock && a.Unit < b.Unit }
+	down := func(j int) {
+		for {
+			l := 2*j + 1
+			if l >= len(h) {
+				return
+			}
+			if r := l + 1; r < len(h) && less(&h[r][0], &h[l][0]) {
+				l = r
+			}
+			if !less(&h[l][0], &h[j][0]) {
+				return
+			}
+			h[j], h[l] = h[l], h[j]
+			j = l
+		}
+	}
+	for j := len(h)/2 - 1; j >= 0; j-- {
+		down(j)
+	}
+	out := make([]Event, 0, n)
+	for len(h) > 0 {
+		out = append(out, h[0][0])
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
 	return out
 }
 

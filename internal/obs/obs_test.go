@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -88,6 +90,42 @@ func TestMergedOrdersByClockUnitSeq(t *testing.T) {
 	}
 	if !reflect.DeepEqual(keys, want) {
 		t.Fatalf("merged order %v, want %v", keys, want)
+	}
+}
+
+// TestMergedMatchesSort: the k-way merge equals one sort of every
+// retained event, for random recorders mixing clock-ordered units
+// (with runs of equal clocks), out-of-order units, empty units and
+// wrapped ring buffers.
+func TestMergedMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		limit := 0
+		if trial%3 == 0 {
+			limit = 1 + rng.Intn(40)
+		}
+		r := New(Config{Events: AllKinds, Limit: limit})
+		var all []Event
+		for u := rng.Intn(12); u >= 0; u-- {
+			id := r.Unit(string(rune('A' + u)))
+			ordered := rng.Intn(3) > 0
+			clock := int64(rng.Intn(50))
+			for e := rng.Intn(60); e > 0; e-- {
+				if ordered {
+					clock += int64(rng.Intn(3))
+				} else {
+					clock = int64(rng.Intn(200))
+				}
+				r.Emit(id, Event{Kind: KindInstr, Clock: clock})
+			}
+		}
+		for _, u := range r.Units() {
+			all = append(all, u.Events()...)
+		}
+		slices.SortFunc(all, compareEvents)
+		if got := r.Merged(); !reflect.DeepEqual(got, all) && len(all) > 0 {
+			t.Fatalf("trial %d: merged stream differs from the sorted one", trial)
+		}
 	}
 }
 

@@ -7,8 +7,6 @@ package obs
 import (
 	"fmt"
 	"io"
-
-	"repro/internal/m68k"
 )
 
 // WriteUnitTable writes one row per unit: final clock, instruction
@@ -77,8 +75,8 @@ func WriteRegistryTable(w io.Writer, g *Registry) error {
 // retires (as in the old per-unit trace listing) with barrier,
 // network, fetch and mode-switch events woven in between, so S/MIMD
 // mode switches and synchronization stalls are visible in context.
-// disasm, when non-nil, supplies instruction text by program index.
-func WriteListing(w io.Writer, r *Recorder, disasm func(pc int) string) error {
+// disasm, when non-nil, supplies instruction text.
+func WriteListing(w io.Writer, r *Recorder, disasm Disasm) error {
 	units := r.Units()
 	for _, u := range units {
 		if d := u.Dropped(); d > 0 {
@@ -88,7 +86,7 @@ func WriteListing(w io.Writer, r *Recorder, disasm func(pc int) string) error {
 		}
 	}
 	for _, ev := range r.Merged() {
-		text := describe(ev, disasm)
+		text := describe(ev, units[ev.Unit].Name, disasm)
 		if _, err := fmt.Fprintf(w, "%-5s %10d  +%-6d %s\n",
 			units[ev.Unit].Name, ev.Clock, ev.Dur, text); err != nil {
 			return err
@@ -98,14 +96,10 @@ func WriteListing(w io.Writer, r *Recorder, disasm func(pc int) string) error {
 }
 
 // describe renders one event's listing text.
-func describe(ev Event, disasm func(pc int) string) string {
+func describe(ev Event, unit string, disasm Disasm) string {
 	switch ev.Kind {
 	case KindInstr:
-		text := m68k.Op(ev.Arg).String()
-		if disasm != nil {
-			text = disasm(int(ev.PC))
-		}
-		return fmt.Sprintf("pc=%-6d %s", ev.PC, text)
+		return fmt.Sprintf("pc=%-6d %s", ev.PC, disasm.name(unit, ev))
 	case KindFetchEnqueue:
 		return fmt.Sprintf("fetch-enqueue words=%d", ev.Arg)
 	case KindFetchRelease:

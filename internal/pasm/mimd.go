@@ -80,11 +80,16 @@ const sliceSteps = 1 << 16
 //
 // The engine's cost is proportional to events. PEs stopped at a
 // device operation sit in a min-heap keyed by (clock, index); a PE the
-// device refuses joins the waiter list, and every completed operation
-// moves all waiters back into the heap (any of them may now proceed).
-// Only the PE whose operation just completed can have computation to
-// run, so after the initial advance each heap pop runs at most one
-// segment.
+// device refuses parks on the wake channel the device names (a barrier
+// round, a network register, a circuit release, or any completed
+// access; see the wake channels in netdev.go), and a completed
+// operation moves back into the heap only the PEs parked on the
+// channel it signals, those waiting for a circuit once one has been
+// dropped, and those on wakeAny. A refused retry changes nothing, so
+// skipping the retries that could not succeed leaves the simulation
+// exactly as retrying every waiter after every operation would. Only the PE whose operation just completed
+// can have computation to run, so after the initial advance each heap
+// pop runs at most one segment.
 //
 // With stopOnJump, a PE that jumps into the SIMD instruction space
 // (the MIMD-to-SIMD mode switch of paper Section 3) parks, and the
@@ -102,7 +107,8 @@ func (vm *VM) runDES(cpus []*m68k.CPU, stopOnJump bool) error {
 	}()
 
 	var ops opHeap
-	var waiters []int
+	waiters := waitLists{channels: int(wakeReg(len(vm.net.bufs))), pes: len(cpus)}
+	dropped := false // a reconfiguration dropped a circuit since the last completed access
 	// settle files PE i by the status its segment or device operation
 	// stopped with: at a device operation it enters the heap, halted
 	// or parked it leaves the simulation.
@@ -181,13 +187,24 @@ func (vm *VM) runDES(cpus []*m68k.CPU, stopOnJump bool) error {
 		}
 	}
 
+	wake := func(ch int32) {
+		if waiters.head == nil {
+			return
+		}
+		for i := waiters.head[ch]; i >= 0; i = waiters.next[i] {
+			ops.push(cpus[i].Clock, int(i))
+		}
+		waiters.head[ch] = -1
+	}
 	for ops.len() > 0 {
 		pick := ops.pop()
+		dev := vm.PEs[pick].dev
 		active = pick
 		st := cpus[pick].Step()
 		active = -1
 		if st == m68k.StatusBlocked {
-			waiters = append(waiters, pick)
+			waiters.park(pick, dev.wait)
+			dropped = dropped || dev.woke == wakeCircuit
 			continue
 		}
 		if st != m68k.StatusOK {
@@ -195,11 +212,17 @@ func (vm *VM) runDES(cpus []*m68k.CPU, stopOnJump bool) error {
 				return err
 			}
 		}
-		// A completed device operation may enable any waiter.
-		for _, i := range waiters {
-			ops.push(cpus[i].Clock, i)
+		// The completed operation enables the waiters on its channel.
+		if dev.woke == wakeCircuit {
+			dropped = true
+		} else if dev.woke != wakeNone {
+			wake(dev.woke)
 		}
-		waiters = waiters[:0]
+		if dropped {
+			dropped = false
+			wake(wakeCircuit)
+		}
+		wake(wakeAny)
 		if st == m68k.StatusOK {
 			st, over := run(cpus[pick])
 			if over {
@@ -210,11 +233,42 @@ func (vm *VM) runDES(cpus []*m68k.CPU, stopOnJump bool) error {
 			}
 		}
 	}
-	if len(waiters) > 0 {
-		slices.Sort(waiters)
-		return fmt.Errorf("pasm: deadlock: PEs %v waiting with no pending events", waiters)
+	if stuck := waiters.all(); len(stuck) > 0 {
+		return fmt.Errorf("pasm: deadlock: PEs %v waiting with no pending events", stuck)
 	}
 	return nil // every PE halted or parked
+}
+
+// waitLists holds the PEs a device refused, one intrusive list per
+// wake channel: head[ch] is the first PE parked on ch, next[i] the PE
+// after i, and -1 ends a list. The lists are allocated by the first
+// park (a run without refusals allocates nothing).
+type waitLists struct {
+	channels, pes int
+	head, next    []int32
+}
+
+func (w *waitLists) park(i int, ch int32) {
+	if w.head == nil {
+		buf := make([]int32, w.channels+w.pes)
+		w.head, w.next = buf[:w.channels], buf[w.channels:]
+		for j := range w.head {
+			w.head[j] = -1
+		}
+	}
+	w.next[i], w.head[ch] = w.head[ch], int32(i)
+}
+
+// all returns every parked PE in index order.
+func (w *waitLists) all() []int {
+	var out []int
+	for _, i := range w.head {
+		for ; i >= 0; i = w.next[i] {
+			out = append(out, int(i))
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // opHeap is the engine's queue of PEs stopped at a device operation,

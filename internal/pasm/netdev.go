@@ -116,19 +116,22 @@ func netStateOn(nw Net, latency, extra, setup int64) *netState {
 // drop the held circuit (dst == NetCtrlRelease) or establish a new
 // one. Establishment that conflicts with standing circuits reports
 // ok=false so the caller blocks and retries after other PEs release.
-func (n *netState) reconfig(src int, dst uint32, t int64) (extra int64, ok bool) {
+// dropped reports that src held a circuit, which the write released
+// whether or not it then succeeds.
+func (n *netState) reconfig(src int, dst uint32, t int64) (extra int64, dropped, ok bool) {
+	dropped = n.nw.DestOf(src) >= 0
 	n.nw.Release(src)
 	if dst == NetCtrlRelease {
-		return 0, true
+		return 0, dropped, true
 	}
 	if int(dst) >= n.nw.Size() {
-		return 0, true // write to nowhere: path setup fails silently, as hardware would
+		return 0, dropped, true // write to nowhere: path setup fails silently, as hardware would
 	}
 	if err := n.nw.Establish(src, int(dst)); err != nil {
-		return 0, false
+		return 0, dropped, false
 	}
 	n.reconfigs++
-	return n.setup, true
+	return n.setup, dropped, true
 }
 
 // Establish sets the static circuit permutation for a run.
@@ -146,18 +149,19 @@ func (n *netState) reset() {
 	n.reconfigs = 0
 }
 
-// send attempts PE src's transmit at time t. ok=false means the
-// destination register still holds unconsumed data (the hardware
-// refuses the store; MIMD programs poll to avoid this, lockstep
-// programs are ordered to make it impossible).
-func (n *netState) send(src int, val uint8, t int64) (extra int64, ok bool) {
-	dst := n.nw.DestOf(src)
+// send attempts PE src's transmit at time t to the register dst its
+// circuit leads to (-1: none). ok=false means the destination register
+// still holds unconsumed data (the hardware refuses the store; MIMD
+// programs poll to avoid this, lockstep programs are ordered to make
+// it impossible).
+func (n *netState) send(src int, val uint8, t int64) (extra int64, dst int, ok bool) {
+	dst = n.nw.DestOf(src)
 	if dst < 0 {
-		return 0, true // no circuit: store is dropped into the void (path not set up)
+		return 0, dst, true // no circuit: store is dropped into the void (path not set up)
 	}
 	b := &n.bufs[dst]
 	if b.hasData {
-		return 0, false
+		return 0, dst, false
 	}
 	start := t
 	if b.freedAt > start {
@@ -170,7 +174,7 @@ func (n *netState) send(src int, val uint8, t int64) (extra int64, ok bool) {
 	b.hasData = true
 	b.availAt = start + n.latency
 	n.transfers++
-	return start - t + n.extra, true
+	return start - t + n.extra, dst, true
 }
 
 // recv attempts PE dst's receive at time t. ok=false means nothing is
@@ -304,7 +308,44 @@ type deviceBus struct {
 	// recorder is attached; nil rec costs one pointer test per access.
 	rec  *obs.Recorder
 	unit int
+
+	// wait is the wake channel of the last armed access the device
+	// refused: what must complete before a retry can succeed. woke is
+	// the channel the last armed access signalled (wakeNone when it
+	// enables no refused access); only a reconfiguration signals one
+	// when refused, having dropped the PE's circuit. The MIMD engine
+	// reads both after each device step.
+	wait, woke int32
 }
+
+// Wake channels. The MIMD engine parks a refused PE on its channel and
+// re-steps it only after a completed access that may enable it: one
+// that signals its channel, or for wakeCircuit the first completed
+// access after any reconfiguration, refused or not, dropped a circuit
+// (the moment a retry of every waiter after every completed access
+// would first succeed). This is exact because a refused retry changes
+// nothing, device by device: a barrier read retried while its round is
+// incomplete (barWaiting), a receive from an empty register and a
+// transmit into a full one only read state; a refused
+// reconfiguration's Release finds no circuit left to drop on a retry
+// (only the PE itself can establish one), and its establishment cannot
+// succeed before some circuit is dropped. On the CPU side the retried
+// instruction starts at the blocked clock, which the first attempt's
+// refresh check has already passed, and its staged post-increments are
+// discarded. The first refused access of a PE may have an effect (a
+// barrier arrival registers; a reconfiguration drops the held
+// circuit), so every PE reaching a device operation still steps once.
+const (
+	wakeNone    = -1
+	wakeAny     = 0 // every completed access (unmapped addresses: never succeed)
+	wakeBarrier = 1 // a barrier round completes
+	wakeCircuit = 2 // a reconfiguration drops a circuit
+)
+
+// wakeReg is the channel of network register r: a transmit into it
+// (the receiver PE r waits for data) or a receive from it (a
+// transmitter waits for it to empty).
+func wakeReg(r int) int32 { return int32(3 + r) }
 
 func (d *deviceBus) isArmed() bool { return d.armed == nil || *d.armed == d.pe }
 
@@ -312,6 +353,7 @@ func (d *deviceBus) Load(addr uint32, sz m68k.Size, clock int64) (uint32, int64,
 	if !d.isArmed() {
 		return 0, 0, false
 	}
+	d.wait, d.woke = wakeAny, wakeNone
 	switch {
 	case addr >= AddrSIMDSpace && addr < AddrNetXmit:
 		if d.bar == nil {
@@ -323,12 +365,16 @@ func (d *deviceBus) Load(addr uint32, sz m68k.Size, clock int64) (uint32, int64,
 			if d.rec != nil {
 				d.rec.Emit(d.unit, obs.Event{Kind: obs.KindBarrierArrive, Clock: clock})
 			}
+			d.wait = wakeBarrier
 			return 0, 0, false
 		case barWaiting:
 			// This PE waits for the rest of the partition; the last
 			// arriver's successful read wakes it for a retry, which
 			// consumes the release recorded for it.
+			d.wait = wakeBarrier
 			return 0, 0, false
+		case barCompleted:
+			d.woke = wakeBarrier
 		}
 		if d.rec != nil {
 			if st == barCompleted {
@@ -342,6 +388,11 @@ func (d *deviceBus) Load(addr uint32, sz m68k.Size, clock int64) (uint32, int64,
 		return 0, release - clock + d.barX, true
 	case addr == AddrNetRecv:
 		v, extra, ok := d.net.recv(d.pe, clock)
+		if !ok {
+			d.wait = wakeReg(d.pe)
+		} else {
+			d.woke = wakeReg(d.pe)
+		}
 		if ok && d.rec != nil {
 			wait := extra - d.net.extra
 			d.rec.Emit(d.unit, obs.Event{Kind: obs.KindNetRecv, Clock: clock + wait, Dur: wait})
@@ -373,9 +424,15 @@ func (d *deviceBus) Store(addr uint32, sz m68k.Size, val uint32, clock int64) (i
 	if !d.isArmed() {
 		return 0, false
 	}
+	d.wait, d.woke = wakeAny, wakeNone
 	switch addr {
 	case AddrNetXmit:
-		extra, ok := d.net.send(d.pe, uint8(val), clock)
+		extra, dst, ok := d.net.send(d.pe, uint8(val), clock)
+		if !ok {
+			d.wait = wakeReg(dst)
+		} else if dst >= 0 {
+			d.woke = wakeReg(dst)
+		}
 		if ok && d.rec != nil {
 			wait := extra - d.net.extra
 			if wait < 0 {
@@ -383,12 +440,18 @@ func (d *deviceBus) Store(addr uint32, sz m68k.Size, val uint32, clock int64) (i
 			}
 			d.rec.Emit(d.unit, obs.Event{
 				Kind: obs.KindNetSend, Clock: clock,
-				Dur: wait, Arg: int64(d.net.nw.DestOf(d.pe)),
+				Dur: wait, Arg: int64(dst),
 			})
 		}
 		return extra, ok
 	case AddrNetCtrl:
-		extra, ok := d.net.reconfig(d.pe, val&0xFFFF, clock)
+		extra, dropped, ok := d.net.reconfig(d.pe, val&0xFFFF, clock)
+		if !ok {
+			d.wait = wakeCircuit
+		}
+		if dropped {
+			d.woke = wakeCircuit
+		}
 		if ok && extra > 0 && d.rec != nil {
 			d.rec.Emit(d.unit, obs.Event{
 				Kind: obs.KindNetReconfig, Clock: clock + extra,

@@ -9,6 +9,7 @@ package pasm
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/m68k"
 	"repro/internal/obs"
@@ -36,6 +37,21 @@ func (vm *VM) wireObsPEs(cpus []*m68k.CPU) bool {
 		vm.Obs.AttachCPU(unit, cpus[i])
 	}
 	return true
+}
+
+// Disasm names the instructions of a recording of prog for the
+// exporters (obs.WriteChromeTrace, obs.WriteListing): the MCs' trace
+// PCs and those of PEs run by RunMIMD index prog. PEs run by RunSIMD
+// (SIMD and mixed mode) are named by mnemonic: in lockstep a PE has no
+// program counter of its own, and its trace PC counts the broadcast
+// instructions it has executed.
+func Disasm(prog *m68k.Program, simd bool) obs.Disasm {
+	return func(unit string, pc int) string {
+		if simd && strings.HasPrefix(unit, "PE") || pc < 0 || pc >= len(prog.Instrs) {
+			return ""
+		}
+		return prog.Instrs[pc].String()
+	}
 }
 
 // finishObsPEs records each PE's end-of-run totals.

@@ -64,8 +64,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	_, prog := runObsProgram(t, rec, 1)
 
 	var buf bytes.Buffer
-	disasm := func(pc int) string { return prog.Instrs[pc].String() }
-	if err := obs.WriteChromeTrace(&buf, rec, disasm); err != nil {
+	if err := obs.WriteChromeTrace(&buf, rec, Disasm(prog, false)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
@@ -157,7 +156,7 @@ func TestObsListingInterleavesDeviceEvents(t *testing.T) {
 	rec := obs.New(obs.Config{Events: obs.AllKinds, Metrics: true})
 	_, prog := runObsProgram(t, rec, 1)
 	var buf bytes.Buffer
-	obs.WriteListing(&buf, rec, func(pc int) string { return prog.Instrs[pc].String() })
+	obs.WriteListing(&buf, rec, Disasm(prog, false))
 	out := buf.String()
 	for _, want := range []string{"barrier", "net", "mulu"} {
 		if !strings.Contains(out, want) {

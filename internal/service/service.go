@@ -496,12 +496,15 @@ func (s *Service) submit(spec experiments.Spec, opts SubmitOpts, tr *telemetry.R
 		admit.Attr("outcome", "rejected_queue_full")
 		return JobStatus{}, &QueueFullError{RetryAfter: s.floorRetry(est), Reason: "queue full"}
 	}
-	j := s.newJobLocked(norm, key, deadline, now)
+	cost := predictCost(norm)
+	// The job enters the queue now: its queue wait (and queue span)
+	// starts after the admission work above.
+	j := s.newJobLocked(norm, key, deadline, s.now())
 	j.trace = tr
 	j.class = opts.Class
 	j.slo = slo
 	j.client = opts.Client
-	j.cost = predictCost(norm)
+	j.cost = cost
 	j.classPrio = classPriority(slo)
 	j.seq = s.seq // newJobLocked just advanced it; arrival order
 	if j.class != "" {
