@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test perfbench-test race cover ci bench bench-json bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke bench-partition bench-slo report
+.PHONY: all build fmt vet test perfbench-test race cover ci bench bench-json bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke bench-partition bench-slo report report-check
 
 all: ci
 
@@ -30,7 +30,7 @@ perfbench-test:
 race:
 	$(GO) test -race -timeout 45m ./...
 
-ci: build fmt vet test perfbench-test race bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke
+ci: build fmt vet test report-check perfbench-test race bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke
 
 # Coverage gate: per-package statement coverage printed and compared
 # against the checked-in floor; fails on regression. After genuinely
@@ -129,3 +129,14 @@ bench-interp:
 
 report:
 	$(GO) run ./cmd/pasmreport -o report.md
+
+# Reproduction gate: regenerate the full-size report and diff it
+# against the checked-in REPORT.md. Only the "generated <time>" prefix
+# of the header line is masked; the rest of that line (the problem
+# sizes) is compared like every other line.
+report-check:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/pasmreport -full -o "$$tmp/report.md" && \
+	sed -E 's/^generated [^;]*;/generated <time>;/' REPORT.md > "$$tmp/want" && \
+	sed -E 's/^generated [^;]*;/generated <time>;/' "$$tmp/report.md" > "$$tmp/got" && \
+	diff -u "$$tmp/want" "$$tmp/got" && echo 'report-check: REPORT.md reproduces'

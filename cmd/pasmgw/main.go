@@ -11,9 +11,7 @@
 //
 //	pasmgw -replica a=127.0.0.1:8041 -replica b=127.0.0.1:8042 ...
 //	       [-addr 127.0.0.1:8040] [-addr-file FILE]
-//	       [-policy hash|least-loaded|round-robin]
-//	       [-hedge 0] [-health-interval 1s]
-//	       [-fill-secret SECRET] [-no-peer-fill]
+//	       [-hedge 0] [-health-interval 1s] [-fill-secret SECRET]
 //	       [-breaker-failures 3] [-breaker-cooldown 5s]
 //	       [-trace-sample 0] [-trace-ring 64] [-debug-addr ADDR]
 //	       [-chaos-profile "conn:error=0.1,...;body:error=0.05" [-chaos-seed N]]
@@ -30,20 +28,18 @@
 // give replicas the same names across runs. Bare addresses get
 // generated names r0, r1, ... in flag order.
 //
-// Routing: "hash" (default) sends each spec to its consistent-hash
-// owner, maximizing replica-local cache hits; "least-loaded" picks the
-// replica with the smallest queue+in-flight load from the last health
-// check; "round-robin" rotates. All policies fail over along the
-// spec's deterministic ring order. -hedge launches a second submit at
-// the next replica when the first has not answered in time.
+// Routing has one rule: each spec goes to its consistent-hash owner,
+// maximizing replica-local cache hits, and fails over along the spec's
+// deterministic ring order when the owner refuses, errors or is
+// breaker-open. -hedge launches a second submit at the next replica
+// when the first has not answered in time.
 //
-// Peer cache fill: when a result was computed off its hash owner, the
-// gateway pushes the bytes to the owner's cache in the background, so
-// one computation becomes a cluster-wide cache hit. Fills authenticate
-// with -fill-secret, which must match every replica's pasmd
-// -fill-secret; without it peer fill is disabled automatically (the
-// replicas would reject the pushes anyway). -no-peer-fill disables it
-// explicitly.
+// Peer cache fill: when failover or the hedge computed a result off its
+// hash owner, the gateway pushes the bytes to the owner's cache in the
+// background, so one computation becomes a cluster-wide cache hit.
+// Fills authenticate with -fill-secret, which must match every
+// replica's pasmd -fill-secret; peer fill is on exactly when it is set
+// (the replicas would reject unauthenticated pushes anyway).
 //
 // -chaos-profile arms the deterministic fault injector on the
 // *gateway's replica connections* (points "conn" and "body": refused
@@ -96,10 +92,8 @@ func run() int {
 	flag.Var(&replicas, "replica", "replica as name=addr (repeatable; bare addr gets a generated name)")
 	addr := flag.String("addr", "127.0.0.1:8040", "listen address (use :0 for an ephemeral port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to `file` after listening")
-	policyFlag := flag.String("policy", "hash", "routing policy: hash, least-loaded, or round-robin")
 	hedge := flag.Duration("hedge", 0, "launch the submit at the next replica if the first has not answered in this long (0 = off)")
 	healthInterval := flag.Duration("health-interval", time.Second, "active health check period per replica")
-	noPeerFill := flag.Bool("no-peer-fill", false, "disable pushing off-owner results into the owner's cache")
 	fillSecret := flag.String("fill-secret", "", "shared secret for peer-fill pushes; must match the replicas' pasmd -fill-secret (empty = peer fill disabled)")
 	breakerFailures := flag.Int("breaker-failures", 3, "consecutive failures that open a replica's circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open breaker base cooldown before the half-open probe (doubles per failed probe)")
@@ -116,11 +110,6 @@ func run() int {
 		logger.Error("at least one -replica required")
 		return 1
 	}
-	policy, err := cluster.ParsePolicy(*policyFlag)
-	if err != nil {
-		logger.Error("bad policy", "err", err)
-		return 1
-	}
 
 	var transport http.RoundTripper
 	if *chaosProfile != "" {
@@ -134,9 +123,8 @@ func run() int {
 		logger.Warn("CHAOS enabled on replica connections", "seed", *chaosSeed, "profile", profile.String())
 	}
 
-	if *fillSecret == "" && !*noPeerFill {
+	if *fillSecret == "" {
 		logger.Info("no -fill-secret: peer cache fill disabled (replicas reject unauthenticated fills)")
-		*noPeerFill = true
 	}
 
 	tracer := telemetry.New(telemetry.Config{
@@ -159,11 +147,9 @@ func run() int {
 			Transport:  transport,
 			FillSecret: *fillSecret,
 		},
-		Policy:          policy,
-		Hedge:           *hedge,
-		DisablePeerFill: *noPeerFill,
-		Logger:          logger,
-		Telemetry:       tracer,
+		Hedge:     *hedge,
+		Logger:    logger,
+		Telemetry: tracer,
 	})
 	if err != nil {
 		logger.Error("gateway init failed", "err", err)
@@ -193,8 +179,8 @@ func run() int {
 			return 1
 		}
 	}
-	logger.Info("listening", "addr", bound, "replicas", len(replicas), "policy", string(policy),
-		"hedge", *hedge, "peer_fill", !*noPeerFill, "trace_sample", *traceSample)
+	logger.Info("listening", "addr", bound, "replicas", len(replicas),
+		"hedge", *hedge, "peer_fill", *fillSecret != "", "trace_sample", *traceSample)
 
 	gw.Start()
 	defer gw.Stop()

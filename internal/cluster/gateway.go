@@ -12,12 +12,13 @@
 //     check doubles as the half-open probe.
 //   - ring: consistent hashing on stable replica names; a spec key's
 //     ring order is its owner plus the deterministic failover sequence.
-//   - Gateway: the HTTP front end — pluggable routing (hash,
-//     least-loaded, round-robin), failover across replicas, optional
-//     cross-replica hedging, peer cache fill (a result computed on any
-//     replica is offered to its hash owner, so a hit anywhere becomes a
-//     hit everywhere), and graceful degradation: when every breaker is
-//     open the gateway sheds with 503 + Retry-After instead of hanging.
+//   - Gateway: the HTTP front end — one routing rule (each spec goes to
+//     its ring owner, then fails over in ring order), optional
+//     cross-replica hedging, peer cache fill (a result that failover or
+//     the hedge computed off its owner is offered to the owner, so a hit
+//     anywhere becomes a hit everywhere), and graceful degradation: when
+//     every breaker is open the gateway sheds with 503 + Retry-After
+//     instead of hanging.
 //
 // Correctness rests on the repo's determinism invariant: a report is a
 // pure function of (spec, CodeVersion), so any replica's answer for a
@@ -29,7 +30,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -47,31 +47,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Policy selects how submissions are routed across replicas. Every
-// policy produces a full preference order, so failover works the same
-// way under all of them; they differ only in who is tried first.
-type Policy string
-
-const (
-	// PolicyHash routes each spec to its consistent-hash owner —
-	// maximizes replica-local cache hits.
-	PolicyHash Policy = "hash"
-	// PolicyLeastLoaded routes to the replica with the smallest
-	// queue+in-flight load per the last health snapshot.
-	PolicyLeastLoaded Policy = "least-loaded"
-	// PolicyRoundRobin rotates through replicas per submission.
-	PolicyRoundRobin Policy = "round-robin"
-)
-
-// ParsePolicy validates a -policy flag value.
-func ParsePolicy(s string) (Policy, error) {
-	switch Policy(s) {
-	case PolicyHash, PolicyLeastLoaded, PolicyRoundRobin:
-		return Policy(s), nil
-	}
-	return "", fmt.Errorf("cluster: unknown routing policy %q (hash, least-loaded, round-robin)", s)
-}
-
 // Response headers the gateway adds so smoke tests (and clients) can
 // see routing decisions.
 const (
@@ -79,7 +54,7 @@ const (
 	ReplicaHeader = "X-Pasm-Replica"
 	// OwnerHeader names the spec's consistent-hash owner (set on
 	// submit and result responses; differs from ReplicaHeader when
-	// routing or failover sent the job elsewhere).
+	// failover or the hedge sent the job elsewhere).
 	OwnerHeader = "X-Pasm-Owner"
 )
 
@@ -88,29 +63,26 @@ const (
 // unambiguous, and the separator survives inside one mux path segment.
 const jobIDSep = "~"
 
+// Fixed gateway limits.
+const (
+	// fillTimeout bounds one peer-fill RPC.
+	fillTimeout = 5 * time.Second
+	// maxTracked bounds the gateway's job map (spec retention for peer
+	// fill); oldest entries fall off first.
+	maxTracked = 4096
+	// minRetryAfter floors the Retry-After hint on shed responses.
+	minRetryAfter = time.Second
+)
+
 // Config tunes a Gateway.
 type Config struct {
 	// Registry configures the replica set and health loop.
 	Registry RegistryConfig
-	// Policy is the routing policy. Default PolicyHash.
-	Policy Policy
-	// Vnodes per replica on the hash ring. Default 64.
-	Vnodes int
 	// Hedge, when > 0, launches the submit at the second-choice replica
 	// if the first has not answered within this long, taking whichever
 	// answers first (safe: results are deterministic and submits
 	// coalesce server-side).
 	Hedge time.Duration
-	// DisablePeerFill turns off owner cache fill on result fetches.
-	DisablePeerFill bool
-	// FillTimeout bounds one peer-fill RPC. Default 5s.
-	FillTimeout time.Duration
-	// MaxTracked bounds the gateway's job map (spec retention for peer
-	// fill); oldest entries fall off first. Default 4096.
-	MaxTracked int
-	// MinRetryAfter floors the Retry-After hint on shed responses.
-	// Default 1s.
-	MinRetryAfter time.Duration
 	// Logger, when non-nil, receives one structured line per routing
 	// event worth narrating (failover, shed, hedge, peer fill), with
 	// trace and replica fields where available.
@@ -120,8 +92,6 @@ type Config struct {
 	// forwards the trace context to the winning replica so one trace ID
 	// spans gateway -> replica -> worker. Nil costs one pointer test.
 	Telemetry *telemetry.Tracer
-
-	now func() time.Time
 }
 
 // gwJob is what the gateway remembers about a submission: enough to
@@ -139,17 +109,14 @@ type Gateway struct {
 	cfg    Config
 	reg    *Registry
 	ring   *ring
-	now    func() time.Time
 	log    *slog.Logger
 	tracer *telemetry.Tracer
-	lat    *telemetry.LatencySet // submit latency per policy/outcome
+	lat    *telemetry.LatencySet // submit latency per outcome
 
 	mu       sync.Mutex
 	jobs     map[string]*gwJob
 	jobOrder []string // FIFO eviction for the jobs map
 	draining bool
-
-	rr atomic.Int64 // round-robin cursor
 
 	submits, accepted, failovers, hedges, sheds atomic.Int64
 	peerFills, peerFillDups, peerFillErrs       atomic.Int64
@@ -160,25 +127,6 @@ type Gateway struct {
 // New builds a gateway and its registry. Call Start to begin health
 // checking and Stop to end it.
 func New(cfg Config) (*Gateway, error) {
-	if cfg.Policy == "" {
-		cfg.Policy = PolicyHash
-	}
-	if _, err := ParsePolicy(string(cfg.Policy)); err != nil {
-		return nil, err
-	}
-	if cfg.MaxTracked <= 0 {
-		cfg.MaxTracked = 4096
-	}
-	if cfg.MinRetryAfter <= 0 {
-		cfg.MinRetryAfter = time.Second
-	}
-	if cfg.FillTimeout <= 0 {
-		cfg.FillTimeout = 5 * time.Second
-	}
-	if cfg.now == nil {
-		cfg.now = time.Now
-	}
-	cfg.Registry.now = cfg.now
 	reg, err := NewRegistry(cfg.Registry)
 	if err != nil {
 		return nil, err
@@ -186,8 +134,7 @@ func New(cfg Config) (*Gateway, error) {
 	return &Gateway{
 		cfg:    cfg,
 		reg:    reg,
-		ring:   newRing(reg.Names(), cfg.Vnodes),
-		now:    cfg.now,
+		ring:   newRing(reg.Names()),
 		log:    cfg.Logger,
 		tracer: cfg.Telemetry,
 		lat:    telemetry.NewLatencySet(),
@@ -233,38 +180,6 @@ func (g *Gateway) warn(msg string, args ...any) {
 	if g.log != nil {
 		g.log.Warn(msg, args...)
 	}
-}
-
-// candidates returns replica indices in routing preference order for
-// this key. The order always contains every replica — failover
-// iterates it — and only who comes first varies by policy.
-func (g *Gateway) candidates(key cache.Key) []int {
-	base := g.ring.order(key) // owner first, then the hash failover chain
-	switch g.cfg.Policy {
-	case PolicyRoundRobin:
-		n := len(g.reg.replicas)
-		start := int(g.rr.Add(1)-1) % n
-		out := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			out = append(out, (start+i)%n)
-		}
-		return out
-	case PolicyLeastLoaded:
-		out := append([]int(nil), base...)
-		// Stable sort over the ring order: ties keep the deterministic
-		// hash preference.
-		sort.SliceStable(out, func(a, b int) bool {
-			return g.reg.replicas[out[a]].load() < g.reg.replicas[out[b]].load()
-		})
-		return out
-	default:
-		return base
-	}
-}
-
-// owner returns the key's consistent-hash owner.
-func (g *Gateway) owner(key cache.Key) *Replica {
-	return g.reg.replicas[g.ring.order(key)[0]]
 }
 
 // verdict classifies one proxied request's outcome for routing and
@@ -346,8 +261,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // draining, or the gateway itself is draining).
 func (g *Gateway) shed(w http.ResponseWriter, reason string, retryAfter time.Duration) {
 	g.sheds.Add(1)
-	if retryAfter < g.cfg.MinRetryAfter {
-		retryAfter = g.cfg.MinRetryAfter
+	if retryAfter < minRetryAfter {
+		retryAfter = minRetryAfter
 	}
 	secs := int(retryAfter.Round(time.Second) / time.Second)
 	if secs < 1 {
@@ -399,23 +314,23 @@ func verdictName(v verdict) string {
 	}
 }
 
-// handleSubmit accepts a spec, routes it per policy, fails over across
-// replicas on transient errors, optionally hedges the first attempt,
+// handleSubmit accepts a spec, sends it to the key's ring owner, fails
+// over in ring order on transient errors, optionally hedges the first attempt,
 // and rewrites the accepted job's ID to "<replica>~<id>" so reads
 // route back. A propagated (or gateway-minted) trace context gets a
 // route span plus one attempt span per replica tried, and is forwarded
 // to the replica so the same trace ID continues server-side.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	start := g.now()
+	start := time.Now()
 	g.submits.Add(1)
 	tr := g.tracer.Start(r.Header.Get(telemetry.Header), "gw-submit")
 	outcome := "shed"
 	defer func() {
-		g.lat.Observe("submit_ms/policy="+string(g.cfg.Policy)+"/outcome="+outcome, g.now().Sub(start))
+		g.lat.Observe("submit_ms/outcome="+outcome, time.Since(start))
 		tr.Finish()
 	}()
 	if g.isDraining() {
-		g.shed(w, "gateway draining", g.cfg.MinRetryAfter)
+		g.shed(w, "gateway draining", minRetryAfter)
 		return
 	}
 	var req service.SubmitRequest
@@ -456,15 +371,15 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		SLOMs:       req.SLOMs,
 		ClientID:    req.Client,
 	}
-	owner := g.owner(key)
-	route := tr.Span("route").Attr("policy", string(g.cfg.Policy)).Attr("owner", owner.Name)
+	idxs := g.ring.order(key) // owner first, then failover in ring order
+	owner := g.reg.replicas[idxs[0]]
+	route := tr.Span("route").Attr("owner", owner.Name)
 
 	var lastErr error
 	tried, skipped := 0, 0
-	idxs := g.candidates(key)
 	for pos := 0; pos < len(idxs); pos++ {
 		rep := g.reg.replicas[idxs[pos]]
-		if !rep.Routable(g.now()) {
+		if !rep.Routable(time.Now()) {
 			skipped++ // breaker open or replica draining/dead
 			continue
 		}
@@ -514,7 +429,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	reason := "no replica available"
-	retryAfter := g.cfg.MinRetryAfter
+	retryAfter := minRetryAfter
 	if lastErr != nil {
 		reason = "all replicas failed: " + lastErr.Error()
 		var api *client.APIError
@@ -538,7 +453,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) hedgePeer(idxs []int, pos int) *Replica {
 	for i := pos + 1; i < len(idxs); i++ {
 		rep := g.reg.replicas[idxs[i]]
-		if rep.Routable(g.now()) {
+		if rep.Routable(time.Now()) {
 			return rep
 		}
 	}
@@ -558,7 +473,7 @@ func (g *Gateway) attempt(ctx context.Context, tr *telemetry.Req, rep *Replica, 
 	one := func(r *Replica) submitResult {
 		st, err := r.Client().Submit(ctx, spec, opts)
 		v := classify(err)
-		accountVerdict(r, v, g.now())
+		accountVerdict(r, v, time.Now())
 		return submitResult{rep: r, st: st, err: err}
 	}
 	if g.cfg.Hedge <= 0 {
@@ -594,7 +509,7 @@ func (g *Gateway) attempt(ctx context.Context, tr *telemetry.Req, rep *Replica, 
 }
 
 // record remembers a submission for read routing and peer fill,
-// evicting the oldest entry past MaxTracked.
+// evicting the oldest entry past maxTracked.
 func (g *Gateway) record(served, owner, localID string, spec experiments.Spec, key cache.Key) {
 	gwID := served + jobIDSep + localID
 	g.mu.Lock()
@@ -604,7 +519,7 @@ func (g *Gateway) record(served, owner, localID string, spec experiments.Spec, k
 	}
 	g.jobs[gwID] = &gwJob{spec: spec, key: key, served: served, owner: owner}
 	g.jobOrder = append(g.jobOrder, gwID)
-	for len(g.jobOrder) > g.cfg.MaxTracked {
+	for len(g.jobOrder) > maxTracked {
 		evict := g.jobOrder[0]
 		g.jobOrder = g.jobOrder[1:]
 		delete(g.jobs, evict)
@@ -642,7 +557,7 @@ func (g *Gateway) proxyRead(w http.ResponseWriter, r *http.Request, call func(ct
 	}
 	g.proxied.Add(1)
 	out, err := call(r.Context(), rep, local)
-	accountVerdict(rep, classify(err), g.now())
+	accountVerdict(rep, classify(err), time.Now())
 	if err != nil {
 		g.proxyErrs.Add(1)
 		proxyError(w, err)
@@ -685,9 +600,10 @@ func (g *Gateway) handleWait(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResult proxies the result bytes verbatim and, when the serving
-// replica is not the key's hash owner, offers the bytes to the owner's
-// cache in the background (peer fill): one replica computing a result
-// makes it a cache hit cluster-wide, whatever routing did.
+// replica is not the key's hash owner (failover or the hedge placed the
+// job), offers the bytes to the owner's cache in the background (peer
+// fill): one replica computing a result makes it a cache hit
+// cluster-wide. Fill is on exactly when the registry has a fill secret.
 func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
 	gwID := r.PathValue("id")
 	rep, local, ok := g.splitID(gwID)
@@ -697,7 +613,7 @@ func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	g.proxied.Add(1)
 	meta, err := rep.Client().ResultMeta(r.Context(), local)
-	accountVerdict(rep, classify(err), g.now())
+	accountVerdict(rep, classify(err), time.Now())
 	if err != nil {
 		g.proxyErrs.Add(1)
 		proxyError(w, err)
@@ -707,7 +623,7 @@ func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set(ReplicaHeader, rep.Name)
 	if j := g.lookup(gwID); j != nil {
 		w.Header().Set(OwnerHeader, j.owner)
-		if !g.cfg.DisablePeerFill && j.owner != rep.Name && j.filled.CompareAndSwap(false, true) {
+		if g.cfg.Registry.FillSecret != "" && j.owner != rep.Name && j.filled.CompareAndSwap(false, true) {
 			go g.fillOwner(j, body, meta.Code)
 		}
 	}
@@ -744,13 +660,13 @@ func (g *Gateway) fillOwner(j *gwJob, body []byte, code string) {
 			"reason", "code version mismatch", "code", code, "owner_code", h.Code)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.FillTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), fillTimeout)
 	defer cancel()
 	stored, err := owner.Client().Fill(ctx, j.spec, body, code)
 	switch {
 	case err != nil:
+		j.filled.Store(false) // before the count, so a reader of it can retry
 		g.peerFillErrs.Add(1)
-		j.filled.Store(false)
 		g.warn("peer fill failed", "owner", j.owner, "from", j.served, "err", err)
 	case stored:
 		g.peerFills.Add(1)
@@ -779,7 +695,7 @@ func (g *Gateway) handleList(w http.ResponseWriter, r *http.Request) {
 	var all []service.JobStatus
 	for range g.reg.replicas {
 		rs := <-ch
-		accountVerdict(rs.rep, classify(rs.err), g.now())
+		accountVerdict(rs.rep, classify(rs.err), time.Now())
 		if rs.err != nil {
 			continue
 		}
@@ -879,47 +795,53 @@ func (g *Gateway) Metrics(ctx context.Context) map[string]float64 {
 	return m
 }
 
-// aggregateStageHistograms merges the replicas' flattened per-stage
-// latency histograms bucket-by-bucket into cluster-level ones and
-// derives cluster-wide quantiles. This works because every replica
-// buckets on the same bounds (telemetry.MsBounds): summing the le=N
-// counts across replicas yields exactly the histogram a single global
-// service would have recorded.
-func aggregateStageHistograms(m map[string]float64, replicaMetrics []map[string]float64) {
-	for _, stage := range []string{"queue_wait_ms", "run_ms", "total_ms"} {
-		h := obs.NewHistogram(telemetry.MsBounds)
-		for _, rm := range replicaMetrics {
-			base := "service/" + stage
-			n := int64(rm[base+"/count"])
-			if n == 0 {
-				continue
-			}
-			if min := int64(rm[base+"/min"]); h.N == 0 || min < h.Min {
-				h.Min = min
-			}
-			if max := int64(rm[base+"/max"]); h.N == 0 || max > h.Max {
-				h.Max = max
-			}
-			for i, b := range h.Bounds {
-				h.Counts[i] += int64(rm[base+"/le="+strconv.FormatInt(b, 10)])
-			}
-			h.Counts[len(h.Counts)-1] += int64(rm[base+"/overflow"])
-			h.N += n
-			h.Sum += int64(rm[base+"/sum"])
-		}
-		if h.N == 0 {
+// mergeFlattened rebuilds one latency histogram from the replicas'
+// flattened copies of it under base (base/count, /min, /max, /sum,
+// /le=B, /overflow). Summing the le=B counts is exact because every
+// replica buckets on the same bounds (telemetry.MsBounds): the merge is
+// the histogram a single global service would have recorded. It
+// returns nil when no replica has a sample.
+func mergeFlattened(replicaMetrics []map[string]float64, base string) *obs.Histogram {
+	h := obs.NewHistogram(telemetry.MsBounds)
+	for _, rm := range replicaMetrics {
+		n := int64(rm[base+"/count"])
+		if n == 0 {
 			continue
 		}
-		telemetry.FlattenHistogram(m, "cluster/"+stage, h)
+		if min := int64(rm[base+"/min"]); h.N == 0 || min < h.Min {
+			h.Min = min
+		}
+		if max := int64(rm[base+"/max"]); h.N == 0 || max > h.Max {
+			h.Max = max
+		}
+		for i, b := range h.Bounds {
+			h.Counts[i] += int64(rm[base+"/le="+strconv.FormatInt(b, 10)])
+		}
+		h.Counts[len(h.Counts)-1] += int64(rm[base+"/overflow"])
+		h.N += n
+		h.Sum += int64(rm[base+"/sum"])
+	}
+	if h.N == 0 {
+		return nil
+	}
+	return h
+}
+
+// aggregateStageHistograms merges the replicas' per-stage latency
+// histograms into cluster-level ones with cluster-wide quantiles.
+func aggregateStageHistograms(m map[string]float64, replicaMetrics []map[string]float64) {
+	for _, stage := range []string{"queue_wait_ms", "run_ms", "total_ms"} {
+		if h := mergeFlattened(replicaMetrics, "service/"+stage); h != nil {
+			telemetry.FlattenHistogram(m, "cluster/"+stage, h)
+		}
 	}
 }
 
 // aggregateClassMetrics merges the replicas' per-SLO-class serving
-// metrics: class latency histograms (same bucket-sum argument as the
-// stage histograms — every replica uses the service msBounds, which
-// equal telemetry.MsBounds) plus the SLO hit/miss counters. Class
-// names are discovered from the replica keys, so a class only ever
-// seen by one replica still appears cluster-wide.
+// metrics: class latency histograms (every replica uses the service
+// msBounds, which equal telemetry.MsBounds) plus the SLO hit/miss
+// counters. Class names are discovered from the replica keys, so a
+// class only ever seen by one replica still appears cluster-wide.
 func aggregateClassMetrics(m map[string]float64, replicaMetrics []map[string]float64) {
 	const histPrefix = "service/class_total_ms/"
 	classes := map[string]bool{}
@@ -933,27 +855,7 @@ func aggregateClassMetrics(m map[string]float64, replicaMetrics []map[string]flo
 		}
 	}
 	for class := range classes {
-		h := obs.NewHistogram(telemetry.MsBounds)
-		for _, rm := range replicaMetrics {
-			base := histPrefix + class
-			n := int64(rm[base+"/count"])
-			if n == 0 {
-				continue
-			}
-			if min := int64(rm[base+"/min"]); h.N == 0 || min < h.Min {
-				h.Min = min
-			}
-			if max := int64(rm[base+"/max"]); h.N == 0 || max > h.Max {
-				h.Max = max
-			}
-			for i, b := range h.Bounds {
-				h.Counts[i] += int64(rm[base+"/le="+strconv.FormatInt(b, 10)])
-			}
-			h.Counts[len(h.Counts)-1] += int64(rm[base+"/overflow"])
-			h.N += n
-			h.Sum += int64(rm[base+"/sum"])
-		}
-		if h.N > 0 {
+		if h := mergeFlattened(replicaMetrics, histPrefix+class); h != nil {
 			telemetry.FlattenHistogram(m, "cluster/class_total_ms/"+class, h)
 		}
 		for _, ctr := range []string{"class_slo_ok/", "class_slo_miss/"} {
@@ -976,7 +878,6 @@ type ClusterHealth struct {
 	Replicas int    `json:"replicas"`
 	Healthy  int    `json:"healthy"`
 	Draining bool   `json:"draining"`
-	Policy   string `json:"policy"`
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -984,7 +885,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Replicas: len(g.reg.replicas),
 		Healthy:  g.reg.Healthy(),
 		Draining: g.isDraining(),
-		Policy:   string(g.cfg.Policy),
 	}
 	switch {
 	case h.Healthy == h.Replicas:

@@ -65,20 +65,30 @@ func ownerName(t *testing.T, g *Gateway, spec experiments.Spec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g.owner(key).Name
+	return g.reg.replicas[g.ring.order(key)[0]].Name
 }
 
 // seedOwnedBy hunts for a spec seed whose hash owner is the named
 // replica (bounded; the ring spreads keys so a hit comes fast).
 func seedOwnedBy(t *testing.T, g *Gateway, name string) uint32 {
 	t.Helper()
-	for seed := uint32(1); seed < 200; seed++ {
+	return seedsOwnedBy(t, g, name, 1)[0]
+}
+
+// seedsOwnedBy returns the first n spec seeds whose hash owner is the
+// named replica.
+func seedsOwnedBy(t *testing.T, g *Gateway, name string, n int) []uint32 {
+	t.Helper()
+	var out []uint32
+	for seed := uint32(1); seed < 200 && len(out) < n; seed++ {
 		if ownerName(t, g, specN(seed)) == name {
-			return seed
+			out = append(out, seed)
 		}
 	}
-	t.Fatalf("no seed in 1..200 hashes to %s", name)
-	return 0
+	if len(out) < n {
+		t.Fatalf("only %d seeds in 1..200 hash to %s, want %d", len(out), name, n)
+	}
+	return out
 }
 
 // TestGatewayEndToEnd: a submit through the gateway completes, the job
@@ -226,78 +236,103 @@ func TestGatewayAllDownSheds(t *testing.T) {
 	}
 }
 
-// TestGatewayPeerFill: under round-robin routing a spec lands off its
-// hash owner; fetching the result triggers a background fill, after
-// which the owner serves the same spec from cache.
+// TestGatewayPeerFill: the owner's first submit answers 503, so the
+// job fails over to the ring's second choice and lands off-owner. The
+// first result read offers the bytes to the owner, whose fill endpoint
+// fails once; the error resets the job's fill flag, so the second read
+// fills the owner, which then serves the spec from its cache.
 func TestGatewayPeerFill(t *testing.T) {
-	_, r0 := startReplica(t, "a")
+	var submits, fills atomic.Int64
+	// The gateway reaches replica a only through this wrapper, which
+	// refuses a's first submit and its first fill.
+	s0, _ := startReplica(t, "a")
+	inner := s0.Handler()
+	r0 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs" && submits.Add(1) == 1:
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, `{"error":"busy"}`, http.StatusServiceUnavailable)
+			return
+		case r.URL.Path == service.FillPath && fills.Add(1) == 1:
+			http.Error(w, `{"error":"fill refused"}`, http.StatusInternalServerError)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(r0.Close)
 	_, r1 := startReplica(t, "b")
-	_, r2 := startReplica(t, "c")
-	addrs := map[string]string{"a": r0.URL, "b": r1.URL, "c": r2.URL}
 
-	g, gsrv := startGateway(t, Config{
-		Registry: RegistryConfig{Replicas: []string{"a=" + r0.URL, "b=" + r1.URL, "c=" + r2.URL}},
-		Policy:   PolicyRoundRobin,
-	})
+	g, gsrv := startGateway(t, Config{Registry: RegistryConfig{
+		Replicas: []string{"a=" + r0.URL, "b=" + r1.URL},
+	}})
+	spec := specN(seedOwnedBy(t, g, "a"))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	body, _ := json.Marshal(service.SubmitRequest{Spec: spec, WaitMS: 20000})
+	resp, err := http.Post(gsrv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st service.JobStatus
+	json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if st.State != service.StateDone {
+		t.Fatalf("state %s, want done", st.State)
+	}
+	if served, own := resp.Header.Get(ReplicaHeader), resp.Header.Get(OwnerHeader); served != "b" || own != "a" {
+		t.Fatalf("served by %q, owner %q: want the owner's 503 to fail over to b", served, own)
+	}
+	a, _ := g.Registry().Find("a")
+	if a.Breaker().State() != StateClosed {
+		t.Errorf("owner breaker %v after a 503, want closed (backpressure is no failure)", a.Breaker().State())
+	}
 
-	// Round-robin walks a,b,c,... while ownership is hash-determined,
-	// so within a handful of distinct specs one lands off-owner.
-	var owner string
-	var fillSpec experiments.Spec
-	for seed := uint32(21); seed < 33; seed++ {
-		spec := specN(seed)
-		body, _ := json.Marshal(service.SubmitRequest{Spec: spec, WaitMS: 20000})
-		resp, err := http.Post(gsrv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st service.JobStatus
-		json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		served := resp.Header.Get(ReplicaHeader)
-		own := resp.Header.Get(OwnerHeader)
-		if st.State != service.StateDone {
-			t.Fatalf("seed %d: state %s, want done", seed, st.State)
-		}
-		// Fetch the result — the fill trigger lives on the result path.
+	// The fill trigger lives on the result path; it runs in the
+	// background, so wait on the gateway's counters.
+	readResult := func() {
+		t.Helper()
 		rresp, err := http.Get(gsrv.URL + "/v1/jobs/" + st.ID + "/result")
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, rresp.Body)
 		rresp.Body.Close()
-		if served != own {
-			owner, fillSpec = own, spec
-			break
+		if rresp.StatusCode != http.StatusOK {
+			t.Fatalf("result read: HTTP %d", rresp.StatusCode)
 		}
 	}
-	if owner == "" {
-		t.Fatal("no off-owner submission in 12 distinct specs — routing or ring broken")
+	waitMetric := func(key string, want float64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			m := g.Metrics(ctx)
+			if m[key] >= want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s = %v, want >= %v", key, m[key], want)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
 	}
-
-	// The fill is async: wait for the counter.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		m := g.Metrics(ctx)
-		if m["cluster/peer_fills"] >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("peer fill never landed: %v", m["cluster/peer_fill_errors"])
-		}
-		time.Sleep(20 * time.Millisecond)
+	readResult()
+	waitMetric("cluster/peer_fill_errors", 1)
+	readResult() // the failed fill reset the flag: this read retries it
+	waitMetric("cluster/peer_fills", 1)
+	m := g.Metrics(ctx)
+	if m["cluster/peer_fill_errors"] != 1 || m["cluster/peer_fills"] != 1 || m["cluster/failovers"] < 1 {
+		t.Errorf("peer_fill_errors = %v, peer_fills = %v, failovers = %v; want 1, 1, >= 1",
+			m["cluster/peer_fill_errors"], m["cluster/peer_fills"], m["cluster/failovers"])
 	}
 
 	// The owner now serves the spec from its cache without executing.
-	st, err := client.New(addrs[owner]).Submit(ctx, fillSpec, client.SubmitOptions{})
+	own, err := client.New(r0.URL).Submit(ctx, spec, client.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Cached || st.State != service.StateDone {
-		t.Errorf("owner %s: cached=%v state=%s, want a cache hit", owner, st.Cached, st.State)
+	if !own.Cached || own.State != service.StateDone {
+		t.Errorf("owner a: cached=%v state=%s, want a cache hit", own.Cached, own.State)
 	}
 }
 

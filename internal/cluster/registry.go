@@ -47,18 +47,6 @@ func (r *Replica) Snapshot() (alive bool, h service.HealthInfo) {
 	return r.alive, r.health
 }
 
-// load is the routing weight for least-loaded ordering: queued plus
-// executing jobs. Unknown (never-checked or dead) replicas weigh
-// heavier than any observed load so live ones win.
-func (r *Replica) load() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.alive {
-		return 1 << 30
-	}
-	return r.health.QueueDepth + r.health.InFlight
-}
-
 // Routable reports whether new submissions may go here: the breaker
 // must admit the request and the replica must not be draining. (A
 // replica that has never been health-checked is still routable — the
@@ -89,14 +77,12 @@ func (r *Replica) Report(ok bool, now time.Time) {
 
 // Registry owns the replica set and runs the active health loop: every
 // interval, each replica's enriched /healthz is fetched; the snapshot
-// feeds least-loaded routing and drain awareness, and the outcome
+// feeds drain awareness and the peer-fill version check, and the outcome
 // feeds the breaker — which is how an open breaker's probe goes out
 // even when no client traffic would be allowed through it.
 type Registry struct {
 	replicas []*Replica
 	interval time.Duration
-	timeout  time.Duration
-	now      func() time.Time
 
 	started  atomic.Bool
 	stopOnce sync.Once
@@ -122,10 +108,9 @@ func parseReplicaSpec(i int, s string) (name, addr string, err error) {
 type RegistryConfig struct {
 	// Replicas are "name=addr" or bare-address entries, in ring order.
 	Replicas []string
-	// HealthInterval is the active check period. Default 1s.
+	// HealthInterval is the active check period. Default 1s. One check
+	// may take at most half of it.
 	HealthInterval time.Duration
-	// HealthTimeout bounds one check. Default half the interval.
-	HealthTimeout time.Duration
 	// Breaker tunes every replica's breaker; each replica's jitter seed
 	// is Breaker.Seed mixed with its index so probes desynchronize.
 	Breaker BreakerConfig
@@ -133,12 +118,10 @@ type RegistryConfig struct {
 	// transport (fault injection).
 	Transport http.RoundTripper
 	// FillSecret authenticates peer-fill pushes to the replicas' fill
-	// endpoints (every replica must run with the same secret). Empty
-	// means the replicas have fills disabled and the gateway should run
-	// with DisablePeerFill.
+	// endpoints (every replica must run with the same secret). Peer
+	// fill is on exactly when it is set: empty means the replicas have
+	// fills disabled, so the gateway sends none.
 	FillSecret string
-
-	now func() time.Time
 }
 
 // NewRegistry builds the replica set. Start launches the health loop.
@@ -149,16 +132,8 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = time.Second
 	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = cfg.HealthInterval / 2
-	}
-	if cfg.now == nil {
-		cfg.now = time.Now
-	}
 	reg := &Registry{
 		interval: cfg.HealthInterval,
-		timeout:  cfg.HealthTimeout,
-		now:      cfg.now,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -278,7 +253,7 @@ func (g *Registry) CheckAll() {
 // count); an open breaker's allowed check is exactly the half-open
 // probe that can close it.
 func (g *Registry) checkOne(r *Replica) {
-	now := g.now()
+	now := time.Now()
 	probe := true
 	if st := r.breaker.State(); st != StateClosed {
 		probe = r.breaker.Allow(now)
@@ -286,7 +261,7 @@ func (g *Registry) checkOne(r *Replica) {
 			return // open and inside cooldown: skip the request entirely
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), g.timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), g.interval/2)
 	defer cancel()
 	h, err := r.cl.HealthInfo(ctx)
 	r.mu.Lock()
@@ -302,5 +277,5 @@ func (g *Registry) checkOne(r *Replica) {
 		r.lastErr = ""
 	}
 	r.mu.Unlock()
-	r.breaker.Report(err == nil, g.now())
+	r.breaker.Report(err == nil, time.Now())
 }

@@ -19,12 +19,10 @@ type ring struct {
 	n      int      // replica count
 }
 
-const defaultVnodes = 64
+// vnodes is the number of ring points per replica.
+const vnodes = 64
 
-func newRing(names []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
+func newRing(names []string) *ring {
 	r := &ring{n: len(names)}
 	type pt struct {
 		h uint64

@@ -18,7 +18,7 @@ func testKey(i int) cache.Key {
 // once, owner first, and is deterministic.
 func TestRingOrderCoversAll(t *testing.T) {
 	names := []string{"a", "b", "c", "d"}
-	r := newRing(names, 0)
+	r := newRing(names)
 	for i := 0; i < 100; i++ {
 		k := testKey(i)
 		ord := r.order(k)
@@ -32,7 +32,7 @@ func TestRingOrderCoversAll(t *testing.T) {
 			}
 			seen[idx] = true
 		}
-		ord2 := newRing(names, 0).order(k)
+		ord2 := newRing(names).order(k)
 		for j := range ord {
 			if ord[j] != ord2[j] {
 				t.Fatalf("key %d: order not deterministic: %v vs %v", i, ord, ord2)
@@ -45,7 +45,7 @@ func TestRingOrderCoversAll(t *testing.T) {
 // share of the keyspace.
 func TestRingDistribution(t *testing.T) {
 	names := []string{"r0", "r1", "r2"}
-	r := newRing(names, 0)
+	r := newRing(names)
 	counts := make([]int, len(names))
 	const keys = 3000
 	for i := 0; i < keys; i++ {
@@ -64,7 +64,7 @@ func TestRingDistribution(t *testing.T) {
 func TestRingStability(t *testing.T) {
 	full := []string{"a", "b", "c"}
 	without := []string{"a", "b"} // "c" removed
-	rf, rw := newRing(full, 0), newRing(without, 0)
+	rf, rw := newRing(full), newRing(without)
 	moved, kept := 0, 0
 	for i := 0; i < 1000; i++ {
 		k := testKey(i)
@@ -90,7 +90,7 @@ func TestRingStability(t *testing.T) {
 // loss.
 func TestRingFailoverOrder(t *testing.T) {
 	names := []string{"a", "b", "c"}
-	r := newRing(names, 0)
+	r := newRing(names)
 	for i := 0; i < 200; i++ {
 		k := testKey(i)
 		ord := r.order(k)
@@ -100,7 +100,7 @@ func TestRingFailoverOrder(t *testing.T) {
 				rest = append(rest, idx)
 			}
 		}
-		sub := newRing(rest, 0)
+		sub := newRing(rest)
 		want := rest[sub.order(k)[0]]
 		got := names[ord[1]]
 		if got != want {

@@ -27,7 +27,7 @@ var Quantiles = []struct {
 
 // LatencySet is a concurrent family of millisecond latency histograms
 // keyed by a caller-chosen name (the gateway keys by
-// "submit_ms/policy=<p>/outcome=<o>"). Unlike obs.Registry it is safe
+// "submit_ms/outcome=<o>"). Unlike obs.Registry it is safe
 // for concurrent Observe from request goroutines.
 type LatencySet struct {
 	mu    sync.Mutex

@@ -4,15 +4,17 @@
 // under real process chaos:
 //
 //  1. all-healthy: every spec driven through the gateway completes
-//     with bytes identical to a fault-free local run, and round-robin
-//     routing plus result fetches produce peer cache fills (a result
-//     computed off its hash owner lands in the owner's cache);
+//     with bytes identical to a fault-free local run;
 //  2. replica killed mid-run (SIGKILL, no warning): the gateway fails
 //     over, the killed replica's breaker opens, and every spec still
 //     completes byte-identical — jobs that died with the replica are
 //     resubmitted by the client and served by the survivors;
 //  3. replica restarted on the same address: the health loop's probe
-//     closes the breaker and the replica rejoins the rotation;
+//     closes the breaker and the replica rejoins the rotation; reading
+//     phase 2's results again peer-fills the ones failover computed off
+//     their owner into the owner's cache, after which every phase-2
+//     spec is a cache hit through the gateway (a hit anywhere becomes a
+//     hit everywhere);
 //  4. drain: SIGTERM stops the gateway cleanly (sheds new submits,
 //     finishes reads), and the replicas drain cleanly after it.
 //
@@ -25,6 +27,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -33,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/scripts/internal/smoke"
 )
@@ -137,16 +142,14 @@ func run() error {
 		reps = append(reps, r)
 	}
 
-	// Gateway: round-robin so traffic regularly lands off-owner (that
-	// is what makes peer fill observable), fast health checks and a
-	// short breaker cooldown so kill/recovery round-trips quickly.
+	// Gateway: fast health checks and a short breaker cooldown so
+	// kill/recovery round-trips quickly.
 	gwAddrFile := filepath.Join(dir, "addr-gw")
 	gw := exec.Command(pasmgw,
 		"-addr", "127.0.0.1:0", "-addr-file", gwAddrFile,
 		"-replica", "a="+reps[0].addr,
 		"-replica", "b="+reps[1].addr,
 		"-replica", "c="+reps[2].addr,
-		"-policy", "round-robin",
 		"-health-interval", "300ms",
 		"-breaker-failures", "2",
 		"-breaker-cooldown", "500ms",
@@ -160,7 +163,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cl := client.New(strings.TrimSpace(gwAddr)).WithRetry(client.RetryPolicy{
+	gwAddr = strings.TrimSpace(gwAddr)
+	cl := client.New(gwAddr).WithRetry(client.RetryPolicy{
 		MaxAttempts: 8,
 		BaseBackoff: 50 * time.Millisecond,
 		MaxBackoff:  2 * time.Second,
@@ -172,18 +176,11 @@ func run() error {
 		return fmt.Errorf("gateway healthz: %v", err)
 	}
 
-	// Phase 1 — all healthy: everything completes, bytes exact, and
-	// round-robin + result fetches trigger peer fills.
+	// Phase 1 — all healthy: everything completes, bytes exact.
 	phase1 := specs(1000, 9)
-	if err := drivePhase(ctx, cl, "healthy", phase1); err != nil {
+	if _, err := drivePhase(ctx, cl, "healthy", phase1); err != nil {
 		return err
 	}
-	if err := waitMetric(ctx, cl, "cluster/peer_fills", 1, 10*time.Second); err != nil {
-		return fmt.Errorf("peer fill never observed: %v", err)
-	}
-	m, _ := cl.Metrics(ctx)
-	fmt.Fprintf(os.Stderr, "clustersmoke: phase 1: peer_fills=%g dups=%g ✓\n",
-		m["cluster/peer_fills"], m["cluster/peer_fill_dups"])
 
 	// Phase 2 — SIGKILL replica b mid-run: no drain, no goodbye. Drive
 	// traffic immediately so live requests hit the dead address and
@@ -194,10 +191,11 @@ func run() error {
 	go reps[1].cmd.Wait() // reap
 	fmt.Fprintln(os.Stderr, "clustersmoke: killed replica b (SIGKILL)")
 	phase2 := specs(2000, 9)
-	if err := drivePhase(ctx, cl, "b-dead", phase2); err != nil {
+	phase2IDs, err := drivePhase(ctx, cl, "b-dead", phase2)
+	if err != nil {
 		return err
 	}
-	m, err = cl.Metrics(ctx)
+	m, err := cl.Metrics(ctx)
 	if err != nil {
 		return fmt.Errorf("metrics after kill: %v", err)
 	}
@@ -224,7 +222,7 @@ func run() error {
 		return fmt.Errorf("replica b never marked alive after restart: %v", err)
 	}
 	phase3 := specs(3000, 9)
-	if err := drivePhase(ctx, cl, "b-restarted", phase3); err != nil {
+	if _, err := drivePhase(ctx, cl, "b-restarted", phase3); err != nil {
 		return err
 	}
 	m, _ = cl.Metrics(ctx)
@@ -233,6 +231,9 @@ func run() error {
 	}
 	fmt.Fprintf(os.Stderr, "clustersmoke: phase 3: b rejoined (breaker_closes=%g, forwarded=%g) ✓\n",
 		m["replicas/b/breaker_closes"], m["replicas/b/forwarded"])
+	if err := refill(ctx, cl, gwAddr, phase2, phase2IDs); err != nil {
+		return err
+	}
 
 	// Phase 4 — drain: SIGTERM the gateway; it must shed new submits
 	// and exit cleanly. Then the replicas drain cleanly too.
@@ -256,26 +257,81 @@ func run() error {
 	return nil
 }
 
-// drivePhase runs every spec to done through the gateway and checks
-// byte-identity against fault-free local runs. A job lost to a killed
-// replica surfaces as a wait/result error; the answer is resubmission
-// (the gateway routes it to a survivor) — what may never happen is a
-// wrong byte.
-func drivePhase(ctx context.Context, cl *client.Client, name string, ss []experiments.Spec) error {
+// drivePhase runs every spec to done through the gateway, checks
+// byte-identity against fault-free local runs, and returns the gateway
+// ID of each spec's completed job. A job lost to a killed replica
+// surfaces as a wait/result error; the answer is resubmission (the
+// gateway routes it to a survivor) — what may never happen is a wrong
+// byte.
+func drivePhase(ctx context.Context, cl *client.Client, name string, ss []experiments.Spec) ([]string, error) {
+	want, err := reference(ss)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]string, len(ss))
+	for i, spec := range ss {
+		got, att, err := smoke.RunToCompletion(ctx, cl, spec, client.SubmitOptions{Wait: 30 * time.Second}, 40, true)
+		if err != nil {
+			return nil, fmt.Errorf("phase %s: spec %d never completed: %v", name, i, err)
+		}
+		if !bytes.Equal(got, want[i]) {
+			return nil, fmt.Errorf("phase %s: spec %d: bytes differ from fault-free local run", name, i)
+		}
+		ids[i] = att.ID
+	}
+	fmt.Fprintf(os.Stderr, "clustersmoke: phase %s: %d specs byte-identical ✓\n", name, len(ss))
+	return ids, nil
+}
+
+// refill re-reads phase 2's results through the gateway now that b is
+// back. The specs b owns were computed off-owner by failover, and
+// their fills failed while b was dead; these reads fill b's cache.
+// Then every phase-2 spec must come back from the gateway as a cache
+// hit on its owner.
+func refill(ctx context.Context, cl *client.Client, gwAddr string, ss []experiments.Spec, ids []string) error {
 	want, err := reference(ss)
 	if err != nil {
 		return err
 	}
-	for i, spec := range ss {
-		got, _, err := smoke.RunToCompletion(ctx, cl, spec, client.SubmitOptions{Wait: 30 * time.Second}, 40, true)
+	ownedByB := 0
+	for i, id := range ids {
+		resp, err := http.Get("http://" + gwAddr + "/v1/jobs/" + id + "/result")
 		if err != nil {
-			return fmt.Errorf("phase %s: spec %d never completed: %v", name, i, err)
+			return fmt.Errorf("re-reading phase-2 result %s: %v", id, err)
 		}
-		if !bytes.Equal(got, want[i]) {
-			return fmt.Errorf("phase %s: spec %d: bytes differ from fault-free local run", name, i)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("re-reading phase-2 result %s: HTTP %d, %v", id, resp.StatusCode, err)
+		}
+		if !bytes.Equal(body, want[i]) {
+			return fmt.Errorf("re-read phase-2 spec %d: bytes differ from fault-free local run", i)
+		}
+		if owner := resp.Header.Get(cluster.OwnerHeader); owner == "b" {
+			if served := resp.Header.Get(cluster.ReplicaHeader); served == "b" {
+				return fmt.Errorf("phase-2 spec %d was served by b while b was dead", i)
+			}
+			ownedByB++
 		}
 	}
-	fmt.Fprintf(os.Stderr, "clustersmoke: phase %s: %d specs byte-identical ✓\n", name, len(ss))
+	if ownedByB == 0 {
+		return fmt.Errorf("no phase-2 spec hashes to b, so nothing exercises peer fill")
+	}
+	if err := waitMetric(ctx, cl, "cluster/peer_fills", float64(ownedByB), 10*time.Second); err != nil {
+		return fmt.Errorf("peer fill into the rejoined owner never landed: %v", err)
+	}
+	for i, spec := range ss {
+		st, err := cl.Submit(ctx, spec, client.SubmitOptions{})
+		if err != nil {
+			return fmt.Errorf("resubmitting phase-2 spec %d: %v", i, err)
+		}
+		if !st.Cached {
+			return fmt.Errorf("phase-2 spec %d resubmitted as %s, not a cache hit", i, st.ID)
+		}
+	}
+	m, _ := cl.Metrics(ctx)
+	fmt.Fprintf(os.Stderr, "clustersmoke: phase 3: %d b-owned specs peer-filled (peer_fills=%g errors=%g), %d resubmits all cached ✓\n",
+		ownedByB, m["cluster/peer_fills"], m["cluster/peer_fill_errors"], len(ss))
 	return nil
 }
 

@@ -62,8 +62,9 @@ func WaitForDraining(ctx context.Context, cl *client.Client) error {
 
 // Attempts counts what one RunToCompletion call did.
 type Attempts struct {
-	Accepted int // submits the daemon admitted
-	Failed   int // admitted jobs that ended failed
+	Accepted int    // submits the daemon admitted
+	Failed   int    // admitted jobs that ended failed
+	ID       string // the accepted job whose result was returned
 }
 
 // RunToCompletion submits spec (with opts) until an admitted job ends
@@ -93,6 +94,7 @@ func RunToCompletion(ctx context.Context, cl *client.Client, spec experiments.Sp
 			case service.StateDone:
 				res, rerr := cl.Result(ctx, id)
 				if rerr == nil {
+					count.ID = id
 					return res, count, nil
 				}
 				err = fmt.Errorf("result of done job %s: %v", id, rerr)
