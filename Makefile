@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test perfbench-test race cover ci bench bench-json bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke bench-partition bench-slo report report-check
+.PHONY: all build fmt vet test perfbench-test race cover ci bench bench-json bench-smoke bench-interp e2e bench-partition bench-slo report report-check
 
 all: ci
 
@@ -14,8 +14,9 @@ build:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# The e2e tag adds the end-to-end harness (scripts/e2e) to the vetted set.
 vet:
-	$(GO) vet ./...
+	$(GO) vet -tags e2e ./...
 
 test:
 	$(GO) test ./...
@@ -30,7 +31,7 @@ perfbench-test:
 race:
 	$(GO) test -race -timeout 45m ./...
 
-ci: build fmt vet test report-check perfbench-test race bench-smoke bench-interp trace-smoke service-smoke chaos-smoke cluster-smoke telemetry-smoke partition-smoke slo-smoke
+ci: build fmt vet test report-check perfbench-test race bench-smoke bench-interp e2e
 
 # Coverage gate: per-package statement coverage printed and compared
 # against the checked-in floor; fails on regression. After genuinely
@@ -39,57 +40,13 @@ ci: build fmt vet test report-check perfbench-test race bench-smoke bench-interp
 cover:
 	$(GO) run ./scripts/covercheck
 
-# End-to-end exporter check: run small S/MIMD, SIMD and mixed-mode jobs
-# with -trace-out and validate each emitted Chrome trace against the
-# exporter's schema.
-trace-smoke:
-	for mode in smimd simd mixed; do \
-		$(GO) run ./cmd/pasmrun -n 8 -p 2 -mode $$mode -trace-out pasmrun.trace.json >/dev/null && \
-		$(GO) run ./scripts/tracecheck pasmrun.trace.json || exit 1; \
-	done
-	rm -f pasmrun.trace.json
-
-# End-to-end serving check: build pasmd + pasmbench, start a daemon,
-# and assert byte-identity (cold miss, cache hit, -remote), 503 on a
-# full queue, and a graceful drain that loses no accepted job.
-service-smoke:
-	$(GO) run ./scripts/servicesmoke
-
-# Resilience check: run pasmd under a fixed fault-injection profile
-# (errors, delays, panics at every point) and assert no accepted job is
-# lost, all results stay byte-identical to fault-free runs, and the
-# injected faults + client retries are visible in /metrics.
-chaos-smoke:
-	$(GO) run ./scripts/chaossmoke
-
-# Cluster fault-tolerance check: three pasmd replicas behind pasmgw;
-# SIGKILL one mid-run, assert failover, breaker open/close, peer cache
-# fill, byte-identical results throughout, and a lossless drain.
-cluster-smoke:
-	$(GO) run ./scripts/clustersmoke
-
-# Partitioned-machine check: pasmd with -machine-pes 64 packs
-# concurrent jobs onto subcube partitions; a co-resident pes=32 job is
-# byte-identical to a standalone 32-PE machine, the loadgen -pes-mix
-# storm completes clean, oversize specs get 400, and a drain places
-# every job still waiting for a partition.
-partition-smoke:
-	$(GO) run ./scripts/partitionsmoke
-
-# End-to-end observability check: three traced replicas behind a
-# traced gateway; one trace ID spans gateway -> replica -> worker with
-# every serving stage, the merged host+sim Perfetto export validates,
-# cluster-level stage quantiles appear in /metrics, and the detached
-# telemetry path is zero allocations.
-telemetry-smoke:
-	$(GO) run ./scripts/telemetrysmoke
-
-# SLO-aware serving check: pasmd with -sched sjf and SLO classes,
-# replay the committed golden workload trace open-loop, and assert a
-# lossless drain, per-class latency quantiles + SLO verdicts +
-# fairness index in /metrics, and the per-client 429 admission path.
-slo-smoke:
-	$(GO) run ./scripts/slosmoke
+# End-to-end harness (scripts/e2e): builds pasmd, pasmgw, pasmbench,
+# pasmrun and loadgen once, then runs every scenario against the real
+# processes: serving, chaos, cluster failover, partitions, SLO
+# scheduling, request telemetry and trace export. Run one scenario with
+#   go test -tags e2e -run TestCluster ./scripts/e2e
+e2e:
+	$(GO) test -tags e2e -count=1 -timeout 10m ./scripts/e2e
 
 # SLO scheduling benchmark: deterministic virtual-time replay of the
 # golden trace under FCFS vs priority-SJF — short-class p99 must

@@ -43,8 +43,8 @@
 //
 // -chaos-profile arms the deterministic fault injector on the
 // *gateway's replica connections* (points "conn" and "body": refused
-// connections, slow round trips, mid-body cuts), which is how the
-// cluster smoke test exercises failover without killing processes.
+// connections, slow round trips, mid-body cuts): failover without
+// killing processes. (No test or gate runs it yet.)
 //
 // On SIGINT/SIGTERM the gateway drains: new submissions get 503 +
 // Retry-After, reads keep answering so clients can collect accepted

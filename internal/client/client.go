@@ -334,11 +334,10 @@ type rawResponse struct {
 }
 
 // maxResponseBytes bounds one response body the client reads. It equals
-// the server's default peer-fill bound (service.Config.MaxFillBytes,
-// 8 MiB), so any result document one pasmd instance would accept from
-// a peer also fits here; the largest report pasmbench writes (-full
-// -exp all,ext -json) is about 14 KB, so the bound is far above any
-// legitimate body.
+// the server's peer-fill bound (service's maxFillBytes, 8 MiB), so any
+// result document one pasmd instance would accept from a peer also
+// fits here; the largest report pasmbench writes (-full -exp all,ext
+// -json) is about 14 KB, so the bound is far above any legitimate body.
 const maxResponseBytes = 8 << 20
 
 // readBody reads a response body, failing with an error that names the

@@ -642,6 +642,10 @@ func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
 // version — during a rolling upgrade, bytes computed under old
 // simulator semantics must never land under the owner's new-version
 // key (the owner re-checks against its own compiled-in version too).
+// A fill is also skipped, and left for a later read, while the owner's
+// last health check failed or its breaker is open: a dead or hung
+// owner would only park this goroutine for the fill timeout. (Routable
+// is not asked: it would spend the half-open probe.)
 func (g *Gateway) fillOwner(j *gwJob, body []byte, code string) {
 	owner, ok := g.reg.Find(j.owner)
 	if !ok {
@@ -653,7 +657,14 @@ func (g *Gateway) fillOwner(j *gwJob, body []byte, code string) {
 			"reason", "serving replica did not report a code version")
 		return
 	}
-	if alive, h := owner.Snapshot(); alive && h.Code != "" && h.Code != code {
+	alive, h := owner.Snapshot()
+	if !alive || owner.Breaker().State() == StateOpen {
+		g.peerFillSkips.Add(1)
+		j.filled.Store(false) // the owner may recover; retry later
+		g.warn("peer fill skipped", "owner", j.owner, "from", j.served, "reason", "owner down")
+		return
+	}
+	if h.Code != "" && h.Code != code {
 		g.peerFillSkips.Add(1)
 		j.filled.Store(false) // owner may finish upgrading; retry later
 		g.warn("peer fill skipped", "owner", j.owner, "from", j.served,

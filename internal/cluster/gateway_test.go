@@ -236,15 +236,23 @@ func TestGatewayAllDownSheds(t *testing.T) {
 	}
 }
 
-// TestGatewayPeerFill: the owner's first submit answers 503, so the
-// job fails over to the ring's second choice and lands off-owner. The
-// first result read offers the bytes to the owner, whose fill endpoint
-// fails once; the error resets the job's fill flag, so the second read
-// fills the owner, which then serves the spec from its cache.
-func TestGatewayPeerFill(t *testing.T) {
-	var submits, fills atomic.Int64
-	// The gateway reaches replica a only through this wrapper, which
-	// refuses a's first submit and its first fill.
+// peerFillRig is a two-replica cluster holding one job that failed
+// over from its owner a to b. The gateway reaches a only through a
+// wrapper that refuses a's first submit with a 503 and counts a's fill
+// requests, refusing the first refuseFills of them.
+type peerFillRig struct {
+	g     *Gateway
+	gsrv  *httptest.Server
+	aURL  string
+	spec  experiments.Spec
+	id    string // gateway job ID
+	fills atomic.Int64
+}
+
+func newPeerFillRig(t *testing.T, refuseFills int64, breaker BreakerConfig) *peerFillRig {
+	t.Helper()
+	rig := &peerFillRig{}
+	var submits atomic.Int64
 	s0, _ := startReplica(t, "a")
 	inner := s0.Handler()
 	r0 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -253,7 +261,7 @@ func TestGatewayPeerFill(t *testing.T) {
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, `{"error":"busy"}`, http.StatusServiceUnavailable)
 			return
-		case r.URL.Path == service.FillPath && fills.Add(1) == 1:
+		case r.URL.Path == service.FillPath && rig.fills.Add(1) <= refuseFills:
 			http.Error(w, `{"error":"fill refused"}`, http.StatusInternalServerError)
 			return
 		}
@@ -262,15 +270,16 @@ func TestGatewayPeerFill(t *testing.T) {
 	t.Cleanup(r0.Close)
 	_, r1 := startReplica(t, "b")
 
-	g, gsrv := startGateway(t, Config{Registry: RegistryConfig{
+	rig.aURL = r0.URL
+	rig.g, rig.gsrv = startGateway(t, Config{Registry: RegistryConfig{
 		Replicas: []string{"a=" + r0.URL, "b=" + r1.URL},
+		Breaker:  breaker,
 	}})
-	spec := specN(seedOwnedBy(t, g, "a"))
+	rig.g.Registry().CheckAll() // both replicas alive before any fill
+	rig.spec = specN(seedOwnedBy(t, rig.g, "a"))
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	body, _ := json.Marshal(service.SubmitRequest{Spec: spec, WaitMS: 20000})
-	resp, err := http.Post(gsrv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	body, _ := json.Marshal(service.SubmitRequest{Spec: rig.spec, WaitMS: 20000})
+	resp, err := http.Post(rig.gsrv.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,56 +292,101 @@ func TestGatewayPeerFill(t *testing.T) {
 	if served, own := resp.Header.Get(ReplicaHeader), resp.Header.Get(OwnerHeader); served != "b" || own != "a" {
 		t.Fatalf("served by %q, owner %q: want the owner's 503 to fail over to b", served, own)
 	}
-	a, _ := g.Registry().Find("a")
+	rig.id = st.ID
+	return rig
+}
+
+// readResult reads the job's result through the gateway: the fill
+// trigger lives on this path.
+func (rig *peerFillRig) readResult(t *testing.T) {
+	t.Helper()
+	resp, err := http.Get(rig.gsrv.URL + "/v1/jobs/" + rig.id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("result read: HTTP %d", resp.StatusCode)
+	}
+}
+
+// waitMetric waits for a gateway counter: fills run in the background.
+func (rig *peerFillRig) waitMetric(t *testing.T, key string, want float64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		m := rig.g.Metrics(context.Background())
+		if m[key] >= want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %v, want >= %v", key, m[key], want)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestGatewayPeerFill: the owner's first submit answers 503, so the
+// job fails over to the ring's second choice and lands off-owner. The
+// first result read offers the bytes to the owner, whose fill endpoint
+// fails once; the error resets the job's fill flag, so the second read
+// fills the owner, which then serves the spec from its cache.
+func TestGatewayPeerFill(t *testing.T) {
+	rig := newPeerFillRig(t, 1, BreakerConfig{})
+	a, _ := rig.g.Registry().Find("a")
 	if a.Breaker().State() != StateClosed {
 		t.Errorf("owner breaker %v after a 503, want closed (backpressure is no failure)", a.Breaker().State())
 	}
 
-	// The fill trigger lives on the result path; it runs in the
-	// background, so wait on the gateway's counters.
-	readResult := func() {
-		t.Helper()
-		rresp, err := http.Get(gsrv.URL + "/v1/jobs/" + st.ID + "/result")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, rresp.Body)
-		rresp.Body.Close()
-		if rresp.StatusCode != http.StatusOK {
-			t.Fatalf("result read: HTTP %d", rresp.StatusCode)
-		}
-	}
-	waitMetric := func(key string, want float64) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			m := g.Metrics(ctx)
-			if m[key] >= want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s = %v, want >= %v", key, m[key], want)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-	readResult()
-	waitMetric("cluster/peer_fill_errors", 1)
-	readResult() // the failed fill reset the flag: this read retries it
-	waitMetric("cluster/peer_fills", 1)
-	m := g.Metrics(ctx)
+	rig.readResult(t)
+	rig.waitMetric(t, "cluster/peer_fill_errors", 1)
+	rig.readResult(t) // the failed fill reset the flag: this read retries it
+	rig.waitMetric(t, "cluster/peer_fills", 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	m := rig.g.Metrics(ctx)
 	if m["cluster/peer_fill_errors"] != 1 || m["cluster/peer_fills"] != 1 || m["cluster/failovers"] < 1 {
 		t.Errorf("peer_fill_errors = %v, peer_fills = %v, failovers = %v; want 1, 1, >= 1",
 			m["cluster/peer_fill_errors"], m["cluster/peer_fills"], m["cluster/failovers"])
 	}
 
 	// The owner now serves the spec from its cache without executing.
-	own, err := client.New(r0.URL).Submit(ctx, spec, client.SubmitOptions{})
+	own, err := client.New(rig.aURL).Submit(ctx, rig.spec, client.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !own.Cached || own.State != service.StateDone {
 		t.Errorf("owner a: cached=%v state=%s, want a cache hit", own.Cached, own.State)
+	}
+}
+
+// TestGatewayPeerFillSkipsDownOwner: while the owner's breaker is open
+// a result read sends the owner no fill request, and the skip leaves
+// the fill for later: once the breaker closes, the next read fills.
+func TestGatewayPeerFillSkipsDownOwner(t *testing.T) {
+	const cooldown = 40 * time.Millisecond
+	rig := newPeerFillRig(t, 0, BreakerConfig{Cooldown: cooldown})
+	a, _ := rig.g.Registry().Find("a")
+	for a.Breaker().State() != StateOpen {
+		a.Report(false, time.Now())
+	}
+
+	rig.readResult(t)
+	rig.waitMetric(t, "cluster/peer_fill_skips", 1)
+	if n := rig.fills.Load(); n != 0 {
+		t.Fatalf("owner with an open breaker got %d fill requests, want 0", n)
+	}
+
+	time.Sleep(cooldown) // past the probe deadline: the next check closes it
+	rig.g.Registry().CheckAll()
+	if st := a.Breaker().State(); st != StateClosed {
+		t.Fatalf("owner breaker %v after a good probe, want closed", st)
+	}
+	rig.readResult(t)
+	rig.waitMetric(t, "cluster/peer_fills", 1)
+	if n := rig.fills.Load(); n != 1 {
+		t.Errorf("owner got %d fill requests after recovery, want 1", n)
 	}
 }
 

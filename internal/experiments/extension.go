@@ -24,8 +24,10 @@ func machineModel(cfg pasm.Config) model.Machine {
 // CrossoverVsPRow is one PE count of the extension experiment.
 type CrossoverVsPRow struct {
 	P         int
-	Measured  float64 // simulator crossover (multiplies per inner loop)
+	Measured  float64 // simulator crossover (multiplies per inner loop); NaN if none was swept
 	Predicted float64 // analytic model crossover
+	MaxMuls   int     // the largest multiplies count swept
+	SIMDAhead bool    // SIMD beat S/MIMD at every swept count
 }
 
 // CrossoverVsPResult extends Figure 7 beyond the paper: the SIMD vs
@@ -35,7 +37,9 @@ type CrossoverVsPRow struct {
 // does not grow past p=4, while the S/MIMD barriers span the whole
 // partition and cols = n/p shrinks — so the residual worst-case
 // charging S/MIMD pays at barrier granularity grows with p and the
-// crossover moves *later* (and disappears by p=16 at n=64).
+// crossover moves *later*: at p=16 and n=64 the model puts it past the
+// generator's limit of matmul.MaxMuls multiplies, so p=16 sweeps on to
+// that limit.
 type CrossoverVsPResult struct {
 	N    int
 	Rows []CrossoverVsPRow
@@ -51,32 +55,40 @@ func CrossoverVsP(opts Options) (*CrossoverVsPResult, error) {
 	m := machineModel(opts.Config)
 	out := &CrossoverVsPResult{N: n}
 	muls := []int{1, 4, 8, 12, 16, 20, 26, 32}
-	ps := []int{4, 8, 16}
+	sweeps := []struct {
+		p    int
+		muls []int
+	}{
+		{4, muls}, {8, muls},
+		{16, append(muls[:len(muls):len(muls)], 48, matmul.MaxMuls)},
+	}
 	var specs []matmul.Spec
-	for _, p := range ps {
-		for _, mm := range muls {
+	for _, sw := range sweeps {
+		for _, mm := range sw.muls {
 			specs = append(specs,
-				matmul.Spec{N: n, P: p, Muls: mm, Mode: matmul.SIMD},
-				matmul.Spec{N: n, P: p, Muls: mm, Mode: matmul.SMIMD})
+				matmul.Spec{N: n, P: sw.p, Muls: mm, Mode: matmul.SIMD},
+				matmul.Spec{N: n, P: sw.p, Muls: mm, Mode: matmul.SMIMD})
 		}
 	}
 	results, err := r.execAll(specs)
 	if err != nil {
 		return nil, err
 	}
-	for j, p := range ps {
-		var xs []int
+	for _, sw := range sweeps {
 		var ys, yh []int64
-		base := j * 2 * len(muls)
-		for k, mm := range muls {
-			xs = append(xs, mm)
-			ys = append(ys, results[base+2*k].Cycles)
-			yh = append(yh, results[base+2*k+1].Cycles)
+		ahead := true
+		for range sw.muls {
+			ys = append(ys, results[0].Cycles)
+			yh = append(yh, results[1].Cycles)
+			ahead = ahead && results[0].Cycles < results[1].Cycles
+			results = results[2:]
 		}
 		out.Rows = append(out.Rows, CrossoverVsPRow{
-			P:         p,
-			Measured:  stats.Crossover(xs, ys, yh),
-			Predicted: m.PredictCrossover(n, p),
+			P:         sw.p,
+			Measured:  stats.Crossover(sw.muls, ys, yh),
+			Predicted: m.PredictCrossover(n, sw.p),
+			MaxMuls:   sw.muls[len(sw.muls)-1],
+			SIMDAhead: ahead,
 		})
 	}
 	out.Obs = r.obs.metrics()
@@ -94,8 +106,9 @@ func (r *CrossoverVsPResult) Render() string {
 			fmt.Sprintf("%10.1f", row.Predicted))
 	}
 	t.row("(multiplies per inner loop at which S/MIMD overtakes SIMD; NaN = no")
-	t.row(" crossover in 1..32. Group-local lockstep vs partition-wide barriers")
-	t.row(" pushes the crossover later as p grows.)")
+	t.row(" crossover in the sweep: 1..32, and at p=16 on to 64, the generator's")
+	t.row(" limit. Group-local lockstep vs partition-wide barriers pushes the")
+	t.row(" crossover later as p grows.)")
 	return t.String()
 }
 

@@ -57,6 +57,10 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
+// MaxMuls is the most inner-loop multiplies a program may have: one
+// more would overflow the Fetch Unit queue with a SIMD block.
+const MaxMuls = 64
+
 // Spec describes one experiment configuration.
 type Spec struct {
 	// N is the matrix dimension (n x n), a power of two, 4..256 in the
@@ -84,8 +88,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("matmul: n=%d < p=%d leaves idle PEs", s.N, s.P)
 	case s.Muls < 1:
 		return fmt.Errorf("matmul: inner-loop multiplies %d < 1", s.Muls)
-	case s.Muls > 64:
-		return fmt.Errorf("matmul: inner-loop multiplies %d > 64 (block would overflow the queue)", s.Muls)
+	case s.Muls > MaxMuls:
+		return fmt.Errorf("matmul: inner-loop multiplies %d > %d (block would overflow the queue)", s.Muls, MaxMuls)
 	}
 	return nil
 }

@@ -184,8 +184,8 @@ func convertEvent(ev Event, unit string, disasm Disasm) TraceEvent {
 // exporter's schema: a JSON object whose traceEvents entries each
 // carry a name, a known phase, integer pid/tid, a timestamp on
 // non-metadata events, and a non-negative duration on complete
-// events. Used by the trace-smoke CI check and the exporter tests. It
-// returns the event count on success.
+// events. Used by the end-to-end harness (scripts/e2e) and the exporter
+// tests. It returns the event count on success.
 func ValidateChromeTrace(data []byte) (int, error) {
 	var doc struct {
 		TraceEvents     []map[string]any `json:"traceEvents"`

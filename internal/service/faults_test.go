@@ -179,7 +179,7 @@ func TestCacheFaultForcesRecompute(t *testing.T) {
 func TestAdmitFaultIsRetryableOverload(t *testing.T) {
 	r := newInstantRunner()
 	inj := faults.New(4, faults.Profile{faults.Admit: {ErrorRate: 1}})
-	s := New(Config{Workers: 1, QueueDepth: 4, run: r.run, Faults: inj, MinRetryAfter: 2 * time.Second})
+	s := New(Config{Workers: 1, QueueDepth: 4, run: r.run, Faults: inj})
 	defer s.Shutdown(context.Background())
 
 	_, err := s.Submit(specN(1), time.Time{})
@@ -187,7 +187,7 @@ func TestAdmitFaultIsRetryableOverload(t *testing.T) {
 	if !ok {
 		t.Fatalf("err = %v, want QueueFullError", err)
 	}
-	if full.RetryAfter < 2*time.Second || !strings.Contains(full.Reason, "injected") {
+	if full.RetryAfter < minRetryAfter || !strings.Contains(full.Reason, "injected") {
 		t.Errorf("QueueFullError = %+v", full)
 	}
 

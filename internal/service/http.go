@@ -284,7 +284,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", retryAfterSeconds(full.RetryAfter))
 			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		case errors.Is(err, ErrDraining):
-			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.MinRetryAfter))
+			w.Header().Set("Retry-After", retryAfterSeconds(minRetryAfter))
 			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		default:
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
@@ -407,13 +407,13 @@ func (s *Service) handleFill(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad fill spec: " + err.Error()})
 		return
 	}
-	result, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxFillBytes))
+	result, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFillBytes))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.countFillReject()
 			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf(
-				"fill body exceeds %d bytes", s.cfg.MaxFillBytes)})
+				"fill body exceeds %d bytes", maxFillBytes)})
 			return
 		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "reading fill body: " + err.Error()})

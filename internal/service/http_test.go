@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -223,7 +224,7 @@ func TestHTTPErrors(t *testing.T) {
 }
 
 // postFill issues a raw peer-fill request with the given headers.
-func postFill(t *testing.T, url string, spec experiments.Spec, body []byte, hdrs map[string]string) *http.Response {
+func postFill(t *testing.T, url string, spec experiments.Spec, body []byte, hdrs map[string]string) (status int, msg string) {
 	t.Helper()
 	rawSpec, err := json.Marshal(spec)
 	if err != nil {
@@ -241,9 +242,12 @@ func postFill(t *testing.T, url string, spec experiments.Spec, body []byte, hdrs
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(data)
 }
 
 // TestFillEndpointSecurity: the fill endpoint shares the public
@@ -259,13 +263,13 @@ func TestFillEndpointSecurity(t *testing.T) {
 	defer open.Shutdown(context.Background())
 	openSrv := httptest.NewServer(open.Handler())
 	defer openSrv.Close()
-	if resp := postFill(t, openSrv.URL, specN(7), fillBody(t, 7), map[string]string{
+	if status, _ := postFill(t, openSrv.URL, specN(7), fillBody(t, 7), map[string]string{
 		FillCodeHeader: experiments.CodeVersion,
-	}); resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("fill without configured secret: status %d, want 403", resp.StatusCode)
+	}); status != http.StatusForbidden {
+		t.Fatalf("fill without configured secret: status %d, want 403", status)
 	}
 
-	s := New(Config{Workers: 1, QueueDepth: 4, FillSecret: "s3cret", MaxFillBytes: 4096, run: runner})
+	s := New(Config{Workers: 1, QueueDepth: 4, FillSecret: "s3cret", run: runner})
 	defer s.Shutdown(context.Background())
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -281,14 +285,18 @@ func TestFillEndpointSecurity(t *testing.T) {
 		{"wrong secret", fillBody(t, 7), map[string]string{FillSecretHeader: "nope", FillCodeHeader: experiments.CodeVersion}, http.StatusForbidden},
 		{"missing code version", fillBody(t, 7), map[string]string{FillSecretHeader: "s3cret"}, http.StatusConflict},
 		{"wrong code version", fillBody(t, 7), map[string]string{FillSecretHeader: "s3cret", FillCodeHeader: "pasm-sim/0"}, http.StatusConflict},
-		{"oversized body", bytes.Repeat([]byte("x"), 8192), auth, http.StatusRequestEntityTooLarge},
+		{"oversized body", bytes.Repeat([]byte("x"), maxFillBytes+1), auth, http.StatusRequestEntityTooLarge},
 		{"invalid payload", []byte(`{"junk":1}` + "\n"), auth, http.StatusBadRequest},
 		{"valid fill", fillBody(t, 7), auth, http.StatusOK},
 		{"duplicate fill", fillBody(t, 7), auth, http.StatusAlreadyReported},
 	}
 	for _, tc := range cases {
-		if resp := postFill(t, srv.URL, specN(7), tc.body, tc.hdrs); resp.StatusCode != tc.want {
-			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		status, msg := postFill(t, srv.URL, specN(7), tc.body, tc.hdrs)
+		if status != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, status, tc.want)
+		}
+		if limit := strconv.Itoa(maxFillBytes); status == http.StatusRequestEntityTooLarge && !strings.Contains(msg, limit) {
+			t.Errorf("%s: message %q does not name the %s-byte limit", tc.name, msg, limit)
 		}
 	}
 

@@ -86,6 +86,17 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateExpired
 }
 
+// Fixed service limits.
+const (
+	// maxJobs bounds the finished-job history kept for status polls;
+	// older finished jobs are forgotten (their results stay cached).
+	maxJobs = 1024
+	// minRetryAfter floors the Retry-After estimate on rejection.
+	minRetryAfter = time.Second
+	// maxFillBytes bounds one peer-fill request body.
+	maxFillBytes = 8 << 20
+)
+
 // Config configures a Service.
 type Config struct {
 	// QueueDepth bounds the number of admitted-but-unstarted jobs.
@@ -131,13 +142,6 @@ type Config struct {
 	Options experiments.Options
 	// Cache bounds the result cache.
 	Cache cache.Config
-	// MaxJobs bounds the finished-job history kept for status polls;
-	// older finished jobs are forgotten (their results stay cached).
-	// Default 1024.
-	MaxJobs int
-	// MinRetryAfter floors the Retry-After estimate on rejection.
-	// Default 1s.
-	MinRetryAfter time.Duration
 	// Name identifies this instance in /healthz (cluster deployments
 	// give each replica a stable name; empty is fine standalone).
 	Name string
@@ -146,8 +150,6 @@ type Config struct {
 	// endpoint disabled — it shares the public listener, so it must
 	// never be open to anonymous writes.
 	FillSecret string
-	// MaxFillBytes bounds one peer-fill request body. Default 8 MiB.
-	MaxFillBytes int64
 	// Faults, when non-nil, injects deterministic faults at the
 	// admission, cache, execution, and HTTP points (chaos testing).
 	// Nil costs one pointer test per probe site.
@@ -283,15 +285,6 @@ func New(cfg Config) *Service {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
-	}
-	if cfg.MaxJobs <= 0 {
-		cfg.MaxJobs = 1024
-	}
-	if cfg.MinRetryAfter <= 0 {
-		cfg.MinRetryAfter = time.Second
-	}
-	if cfg.MaxFillBytes <= 0 {
-		cfg.MaxFillBytes = 8 << 20
 	}
 	s := &Service{
 		cfg:        cfg,
@@ -457,7 +450,7 @@ func (s *Service) submit(spec experiments.Spec, opts SubmitOpts, tr *telemetry.R
 	if admitErr != nil {
 		s.reg.Add("rejected_injected", 1)
 		admit.Attr("outcome", "rejected_injected")
-		return JobStatus{}, &QueueFullError{RetryAfter: s.cfg.MinRetryAfter, Reason: "injected admission fault"}
+		return JobStatus{}, &QueueFullError{RetryAfter: minRetryAfter, Reason: "injected admission fault"}
 	}
 	now := s.now()
 
@@ -488,13 +481,13 @@ func (s *Service) submit(spec experiments.Spec, opts SubmitOpts, tr *telemetry.R
 	if !deadline.IsZero() && now.Add(est).After(deadline) {
 		s.reg.Add("rejected_deadline", 1)
 		admit.Attr("outcome", "rejected_deadline")
-		return JobStatus{}, &QueueFullError{RetryAfter: s.floorRetry(est), Reason: "deadline unmeetable at current queue depth"}
+		return JobStatus{}, &QueueFullError{RetryAfter: max(est, minRetryAfter), Reason: "deadline unmeetable at current queue depth"}
 	}
 
 	if s.sched.Len() >= s.cfg.QueueDepth {
 		s.reg.Add("rejected_queue_full", 1)
 		admit.Attr("outcome", "rejected_queue_full")
-		return JobStatus{}, &QueueFullError{RetryAfter: s.floorRetry(est), Reason: "queue full"}
+		return JobStatus{}, &QueueFullError{RetryAfter: max(est, minRetryAfter), Reason: "queue full"}
 	}
 	cost := predictCost(norm)
 	// The job enters the queue now: its queue wait (and queue span)
@@ -586,13 +579,6 @@ func (s *Service) waitEstimateLocked() time.Duration {
 	}
 	backlog := float64(s.sched.Len()+1) / float64(pool)
 	return time.Duration(avg * backlog * float64(time.Second))
-}
-
-func (s *Service) floorRetry(d time.Duration) time.Duration {
-	if d < s.cfg.MinRetryAfter {
-		return s.cfg.MinRetryAfter
-	}
-	return d
 }
 
 // dispatcher is the queue's only consumer. Each round it sheds queued
@@ -921,13 +907,13 @@ func (s *Service) execute(j *job, lease *partition.Lease) (result []byte, err er
 }
 
 // retireLocked appends a terminal job to the bounded history, dropping
-// the oldest finished jobs past MaxJobs (their cached results remain).
+// the oldest finished jobs past maxJobs (their cached results remain).
 func (s *Service) retireLocked(j *job) {
 	if !j.finished.IsZero() {
 		s.reg.Hist("total_ms", msBounds).Observe(j.finished.Sub(j.created).Milliseconds())
 	}
 	s.finished = append(s.finished, j.id)
-	for len(s.finished) > s.cfg.MaxJobs {
+	for len(s.finished) > maxJobs {
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
 	}

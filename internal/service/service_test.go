@@ -134,7 +134,7 @@ func TestConcurrentCoalescing(t *testing.T) {
 // distinct spec is rejected with a Retry-After estimate.
 func TestQueueFull(t *testing.T) {
 	g := newGatedRunner()
-	s := New(Config{Workers: 1, QueueDepth: 1, run: g.run, MinRetryAfter: 2 * time.Second})
+	s := New(Config{Workers: 1, QueueDepth: 1, run: g.run})
 	defer func() { g.release(); s.Shutdown(context.Background()) }()
 
 	a, err := s.Submit(specN(1), time.Time{})
@@ -161,8 +161,8 @@ func TestQueueFull(t *testing.T) {
 	if !ok {
 		t.Fatalf("C: err = %v, want QueueFullError", err)
 	}
-	if full.RetryAfter < 2*time.Second {
-		t.Errorf("RetryAfter = %s, below MinRetryAfter floor", full.RetryAfter)
+	if full.RetryAfter < minRetryAfter {
+		t.Errorf("RetryAfter = %s, below the %s floor", full.RetryAfter, minRetryAfter)
 	}
 	if m := s.Metrics(); m["service/rejected_queue_full"] != 1 {
 		t.Errorf("rejected_queue_full = %v, want 1", m["service/rejected_queue_full"])

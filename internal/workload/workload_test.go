@@ -260,7 +260,7 @@ func TestParseCohorts(t *testing.T) {
 
 // goldenConfig is the config behind testdata/golden_200.tracev1 — the
 // committed heavy-tailed two-class trace the scheduler's replay
-// regression, slo-smoke, and the SLO bench all consume.
+// regression, the end-to-end TestSLO, and the SLO bench all consume.
 func goldenConfig() GenConfig {
 	return GenConfig{
 		Name:     "golden-200",
