@@ -429,16 +429,3 @@ func BenchmarkExperimentParallelism(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkParallelMIMDEngine runs one large MIMD matmul with the
-// discrete-event engine advancing PE segments serially and with one
-// host goroutine per CPU (simulated result identical in both).
-func BenchmarkParallelMIMDEngine(b *testing.B) {
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(sb *testing.B) {
-			cfg := pasm.DefaultConfig()
-			cfg.HostWorkers = workers
-			benchExec(sb, cfg, matmul.Spec{N: 64, P: 16, Muls: 1, Mode: matmul.MIMD})
-		})
-	}
-}

@@ -33,9 +33,9 @@ const Schema = "interpbench/v1"
 
 // regressionMargin is how far below a recorded speedup a measured one
 // may fall before -against fails the run. Wall-clock MIPS on shared CI
-// hosts is noisy — the MIMD/S-MIMD rows run host goroutines that race
-// with whatever else the machine is doing, so their ratios wobble by
-// tens of percent run to run. 0.6 absorbs that while still catching a
+// hosts is noisy — every row runs serially, but it competes with
+// whatever else the machine is doing, so the ratios wobble by tens of
+// percent run to run. 0.6 absorbs that while still catching a
 // real regression: losing the super tier drops the SISD row's ratio
 // from ~9x to ~1x, far through any plausible floor.
 const regressionMargin = 0.6

@@ -12,7 +12,7 @@
 //	pasmd [-addr 127.0.0.1:8037] [-addr-file FILE] [-name NAME]
 //	      [-queue 64] [-workers 2] [-parallel N]
 //	      [-sched fcfs|sjf] [-classes "interactive=50,batch=0"]
-//	      [-starve-limit 8] [-admit-rate 0] [-admit-burst 8]
+//	      [-admit-rate 0] [-admit-burst 8]
 //	      [-machine-pes 0]
 //	      [-cache-entries 256] [-cache-bytes N]
 //	      [-fill-secret SECRET]
@@ -25,9 +25,9 @@
 // -classes or an explicit X-Pasm-Slo-Ms) are ordered by class urgency
 // first, then by predicted cost from the closed-form timing model, so
 // a cheap interactive probe never queues behind a long batch sweep.
-// -starve-limit bounds both directions: a bypassed batch job is
-// promoted after that many bypasses, and no interactive job can be
-// bypassed by promotions more than that many times. Per-class latency
+// Starvation is bounded both ways: a bypassed batch job is promoted
+// after 8 bypasses, and no interactive job can be bypassed by
+// promotions more than 8 times. Per-class latency
 // quantiles, SLO hit/miss counters, and a Jain fairness index over
 // client completions appear in /metrics.
 //
@@ -125,7 +125,6 @@ func run() int {
 	linger := flag.Duration("linger", 2*time.Second, "after the queue drains, keep serving status/result reads this long so waiting clients can collect")
 	sched := flag.String("sched", "fcfs", "queue scheduling: fcfs (arrival order) or sjf (SLO class priority + shortest predicted job first)")
 	classes := flag.String("classes", "", "SLO class defaults, comma-separated name=slo_ms (e.g. \"interactive=50,batch=0\"); empty accepts any class with explicit slo_ms")
-	starveLimit := flag.Int("starve-limit", service.DefaultStarveLimit, "sjf anti-starvation: promote a job after this many bypasses")
 	admitRate := flag.Float64("admit-rate", 0, "per-client admission rate, requests/sec (0 = no rate limiting); over-rate identified clients get 429 + Retry-After")
 	admitBurst := flag.Float64("admit-burst", 8, "per-client admission burst (token bucket depth)")
 	chaosProfile := flag.String("chaos-profile", "", "fault-injection profile, e.g. \"run:error=0.1,panic=0.05,delay=0.2@20ms;http:error=0.1\" (empty = no injection)")
@@ -192,21 +191,20 @@ func run() int {
 		logger.Info("partition mode", "machine_pes", *machinePEs)
 	}
 	svc := service.New(service.Config{
-		QueueDepth:  *queue,
-		Workers:     *workers,
-		Machine:     machine,
-		Sched:       schedMode,
-		StarveLimit: *starveLimit,
-		Classes:     classDefaults,
-		AdmitRate:   *admitRate,
-		AdmitBurst:  *admitBurst,
-		Options:     opts,
-		Cache:       cache.Config{MaxEntries: *cacheEntries, MaxBytes: *cacheBytes},
-		Name:        *name,
-		FillSecret:  *fillSecret,
-		Faults:      injector,
-		Telemetry:   tracer,
-		Logger:      logger,
+		QueueDepth: *queue,
+		Workers:    *workers,
+		Machine:    machine,
+		Sched:      schedMode,
+		Classes:    classDefaults,
+		AdmitRate:  *admitRate,
+		AdmitBurst: *admitBurst,
+		Options:    opts,
+		Cache:      cache.Config{MaxEntries: *cacheEntries, MaxBytes: *cacheBytes},
+		Name:       *name,
+		FillSecret: *fillSecret,
+		Faults:     injector,
+		Telemetry:  tracer,
+		Logger:     logger,
 	})
 
 	if *debugAddr != "" {

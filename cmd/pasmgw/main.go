@@ -14,7 +14,6 @@
 //	       [-hedge 0] [-health-interval 1s] [-fill-secret SECRET]
 //	       [-breaker-failures 3] [-breaker-cooldown 5s]
 //	       [-trace-sample 0] [-trace-ring 64] [-debug-addr ADDR]
-//	       [-chaos-profile "conn:error=0.1,...;body:error=0.05" [-chaos-seed N]]
 //
 // -trace-sample arms request tracing at the gateway: submissions
 // carrying X-Pasm-Trace are always traced, headerless ones with this
@@ -41,11 +40,6 @@
 // replica's pasmd -fill-secret; peer fill is on exactly when it is set
 // (the replicas would reject unauthenticated pushes anyway).
 //
-// -chaos-profile arms the deterministic fault injector on the
-// *gateway's replica connections* (points "conn" and "body": refused
-// connections, slow round trips, mid-body cuts): failover without
-// killing processes. (No test or gate runs it yet.)
-//
 // On SIGINT/SIGTERM the gateway drains: new submissions get 503 +
 // Retry-After, reads keep answering so clients can collect accepted
 // jobs, then the listener shuts down. Replicas are not touched.
@@ -66,7 +60,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/faults"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 )
@@ -83,6 +76,9 @@ func (r *replicaList) Set(v string) error {
 	return nil
 }
 
+// seed drives the breaker-jitter and trace-ID sequences.
+const seed = 1
+
 func main() {
 	os.Exit(run())
 }
@@ -97,8 +93,6 @@ func run() int {
 	fillSecret := flag.String("fill-secret", "", "shared secret for peer-fill pushes; must match the replicas' pasmd -fill-secret (empty = peer fill disabled)")
 	breakerFailures := flag.Int("breaker-failures", 3, "consecutive failures that open a replica's circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open breaker base cooldown before the half-open probe (doubles per failed probe)")
-	chaosProfile := flag.String("chaos-profile", "", "fault-injection profile for replica connections, e.g. \"conn:error=0.2;body:error=0.1\" (empty = no injection)")
-	chaosSeed := flag.Uint64("chaos-seed", 1, "seed for the deterministic fault decision sequences")
 	traceSample := flag.Float64("trace-sample", 0, "probability of tracing a headerless submit (X-Pasm-Trace submits are always traced)")
 	traceRing := flag.Int("trace-ring", 64, "finished traced requests retained for /debug/requests")
 	debugAddr := flag.String("debug-addr", "", "second listener for net/http/pprof (empty = off)")
@@ -111,18 +105,6 @@ func run() int {
 		return 1
 	}
 
-	var transport http.RoundTripper
-	if *chaosProfile != "" {
-		profile, err := faults.ParseProfile(*chaosProfile)
-		if err != nil {
-			logger.Error("bad chaos profile", "err", err)
-			return 1
-		}
-		injector := faults.New(*chaosSeed, profile)
-		transport = injector.Transport(http.DefaultTransport)
-		logger.Warn("CHAOS enabled on replica connections", "seed", *chaosSeed, "profile", profile.String())
-	}
-
 	if *fillSecret == "" {
 		logger.Info("no -fill-secret: peer cache fill disabled (replicas reject unauthenticated fills)")
 	}
@@ -131,7 +113,7 @@ func run() int {
 		Component: "pasmgw",
 		Sample:    *traceSample,
 		Ring:      *traceRing,
-		Seed:      *chaosSeed,
+		Seed:      seed,
 		Logger:    logger,
 	})
 
@@ -142,9 +124,8 @@ func run() int {
 			Breaker: cluster.BreakerConfig{
 				ConsecutiveFailures: *breakerFailures,
 				Cooldown:            *breakerCooldown,
-				Seed:                *chaosSeed,
+				Seed:                seed,
 			},
-			Transport:  transport,
 			FillSecret: *fillSecret,
 		},
 		Hedge:     *hedge,

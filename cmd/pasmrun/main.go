@@ -11,7 +11,7 @@
 //
 //	pasmrun [-n 64] [-p 4] [-muls 1] [-mode simd|mimd|smimd|mixed|sisd]
 //	        [-seed N] [-verify] [-asm] [-trace N] [-trace-out FILE]
-//	        [-metrics] [-workers N]
+//	        [-metrics]
 package main
 
 import (
@@ -38,7 +38,6 @@ func main() {
 	traceN := flag.Int("trace", 0, "print the last N events of every unit as one interleaved listing")
 	traceOut := flag.String("trace-out", "", "write the full event stream as Chrome trace-event JSON to `file` (load in ui.perfetto.dev)")
 	metrics := flag.Bool("metrics", false, "print the per-unit utilization/wait table to stderr")
-	workers := flag.Int("workers", 1, "host goroutines advancing PE segments in MIMD execution (simulation is identical for any value)")
 	flag.Parse()
 
 	// The shared spec type (internal/experiments) owns mode parsing and
@@ -63,7 +62,6 @@ func main() {
 	}
 
 	cfg := pasm.DefaultConfig()
-	cfg.HostWorkers = *workers
 	var rec *obs.Recorder
 	if *traceN > 0 || *traceOut != "" || *metrics {
 		ocfg := obs.Config{Metrics: true}

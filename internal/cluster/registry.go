@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -114,9 +113,6 @@ type RegistryConfig struct {
 	// Breaker tunes every replica's breaker; each replica's jitter seed
 	// is Breaker.Seed mixed with its index so probes desynchronize.
 	Breaker BreakerConfig
-	// Transport, when non-nil, wraps every replica client's HTTP
-	// transport (fault injection).
-	Transport http.RoundTripper
 	// FillSecret authenticates peer-fill pushes to the replicas' fill
 	// endpoints (every replica must run with the same secret). Peer
 	// fill is on exactly when it is set: empty means the replicas have
@@ -150,9 +146,6 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		bcfg := cfg.Breaker
 		bcfg.Seed = cfg.Breaker.Seed ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
 		cl := client.New(addr)
-		if cfg.Transport != nil {
-			cl.WithTransport(cfg.Transport)
-		}
 		if cfg.FillSecret != "" {
 			cl.WithFillSecret(cfg.FillSecret)
 		}

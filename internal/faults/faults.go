@@ -51,18 +51,10 @@ const (
 	// HTTP probes run per request in the daemon: errors become 500s,
 	// delays stall the response, panics abort the connection mid-reply.
 	HTTP Point = "http"
-	// Conn probes run per outbound request in a fault-wrapped transport
-	// (Injector.Transport): an injected error refuses the connection
-	// before anything is sent, a delay slows the whole round trip.
-	Conn Point = "conn"
-	// Body probes run on a fault-wrapped transport's responses: an
-	// injected error cuts the response body mid-stream, so the reader
-	// sees a truncated payload ending in io.ErrUnexpectedEOF.
-	Body Point = "body"
 )
 
 // Points lists every injection site (profile validation, metrics).
-var Points = []Point{Admit, Run, Cache, HTTP, Conn, Body}
+var Points = []Point{Admit, Run, Cache, HTTP}
 
 // ErrInjected is the sentinel wrapped by every injected error, so
 // tests and logs can tell manufactured failures from real ones.

@@ -34,6 +34,7 @@ func TestParseProfileRejects(t *testing.T) {
 	for _, bad := range []string{
 		"", "nonsense", "queue:error=0.5", "run:error=1.5",
 		"run:error=-0.1", "run:frob=0.5", "run:error", "run:delay=0.5@-3ms",
+		"conn:error=0.1", "body:error=0.1",
 	} {
 		if _, err := ParseProfile(bad); err == nil {
 			t.Errorf("ParseProfile(%q) accepted", bad)

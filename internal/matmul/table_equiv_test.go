@@ -32,15 +32,11 @@ func (tr tier) apply(cfg *pasm.Config) {
 }
 
 // executeWith runs one spec end to end on the given interpreter tier
-// with a full observability recorder attached. workers > 1 advances
-// MIMD-section PEs on parallel host goroutines.
-func executeWith(t *testing.T, spec Spec, a, b Matrix, tr tier, workers int) (pasm.RunResult, Matrix, *obs.Recorder) {
+// with a full observability recorder attached.
+func executeWith(t *testing.T, spec Spec, a, b Matrix, tr tier) (pasm.RunResult, Matrix, *obs.Recorder) {
 	t.Helper()
 	rec := obs.New(obs.Config{Events: obs.AllKinds, Metrics: true})
-	res, c := executeCfg(t, spec, a, b, tr, func(cfg *pasm.Config) {
-		cfg.HostWorkers = workers
-		cfg.Obs = rec
-	})
+	res, c := executeCfg(t, spec, a, b, tr, func(cfg *pasm.Config) { cfg.Obs = rec })
 	return res, c, rec
 }
 
@@ -125,21 +121,19 @@ func diffResults(t *testing.T, label string, ref, got pasm.RunResult) {
 // superinstruction tiers and requires
 // identical cycle counts, per-PE clocks, region breakdowns,
 // instruction counts, results, and (event for event) identical
-// observability streams. The super tier additionally runs with
-// parallel host workers, so `go test -race` exercises the engine's
-// parallel initial advance.
+// observability streams.
 func TestInterpreterTierEquivalenceAllPrograms(t *testing.T) {
 	const n, p = 8, 4
 	a := Identity(n)
 	b := Random(n, 0xC0FFEE)
 	for _, mode := range []Mode{Serial, SIMD, MIMD, SMIMD} {
 		spec := Spec{N: n, P: p, Muls: 2, Mode: mode}
-		resRef, cRef, obsRef := executeWith(t, spec, a, b, tierReference, 1)
+		resRef, cRef, obsRef := executeWith(t, spec, a, b, tierReference)
 		want := Reference(a, b)
 		if !Equal(cRef, want) {
 			t.Errorf("%v: reference result is wrong", mode)
 		}
-		res, c, rec := executeWith(t, spec, a, b, tierSuper, 4)
+		res, c, rec := executeWith(t, spec, a, b, tierSuper)
 		label := mode.String() + "/super"
 		diffResults(t, label, resRef, res)
 		diffObs(t, label, obsRef, rec)

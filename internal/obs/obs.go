@@ -7,12 +7,10 @@
 // detached recorder costs nothing on the hot path (the interpreter
 // steady state stays at zero allocations per instruction). Attached,
 // every unit of the simulated machine (PE0.., MC0..) gets its own
-// buffer and registry: units are advanced by at most one host
-// goroutine at a time, so recording needs no locks even when
-// Config.HostWorkers runs PE segments in parallel, and the per-unit
-// streams are merged in timestamp order on export. Everything recorded
-// is simulated time — the stream is byte-identical for any host worker
-// count, which the pasm determinism tests enforce.
+// buffer and registry: a run is advanced by one host goroutine, so
+// recording needs no locks, and the per-unit streams are merged in
+// timestamp order on export. Everything recorded is simulated time, so
+// the stream is a pure function of the run.
 package obs
 
 import (
@@ -202,8 +200,9 @@ func (r *Recorder) Units() []*Unit {
 }
 
 // Emit records one event on a unit's stream. Unit and Seq are filled
-// in by the recorder. Safe under host parallelism as long as each unit
-// is advanced by one goroutine at a time (the simulator's invariant).
+// in by the recorder. Not safe for concurrent use on one unit: each
+// unit is advanced by one goroutine at a time (the simulator's
+// invariant).
 func (r *Recorder) Emit(unit int, ev Event) {
 	u := r.units[unit]
 	ev.Unit = int32(u.ID)

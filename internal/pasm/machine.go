@@ -69,10 +69,10 @@ type Config struct {
 	// MaxSteps bounds per-CPU instruction counts as a runaway guard.
 	MaxSteps int64
 
-	// HostWorkers is the number of host goroutines used to advance PEs
-	// between synchronization points in MIMD execution. This is host
-	// parallelism only — the simulated timeline is byte-identical for
-	// any value. 0 or 1 means serial.
+	// HostWorkers is retired and ignored: it set how many host
+	// goroutines advanced MIMD PE segments, which never paid inside one
+	// run, and every run is now advanced by one goroutine. It remains
+	// so existing writers of Config keep compiling.
 	HostWorkers int
 
 	// Obs, when non-nil, receives the run's event stream and metrics
@@ -133,8 +133,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pasm: ClockHz must be positive")
 	case c.MaxSteps < 1:
 		return fmt.Errorf("pasm: MaxSteps must be positive")
-	case c.HostWorkers < 0:
-		return fmt.Errorf("pasm: HostWorkers %d < 0", c.HostWorkers)
 	}
 	return nil
 }

@@ -3,8 +3,6 @@ package pasm
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/m68k"
 )
@@ -62,7 +60,7 @@ func (vm *VM) RunMIMD(prog *m68k.Program) (RunResult, error) {
 }
 
 // sliceSteps is the step budget of one CPU.Run call in the engine's
-// segment runs; the MaxSteps runaway guard is charged per slice.
+// segment runs; the MaxSteps runaway guard is checked after each slice.
 const sliceSteps = 1 << 16
 
 // runDES is the conservative discrete-event engine shared by the MIMD
@@ -129,60 +127,25 @@ func (vm *VM) runDES(cpus []*m68k.CPU, stopOnJump bool) error {
 		return nil
 	}
 
-	var total int64
-	// run executes one PE's computation segment to its next device
-	// operation (or halt/park/error). The shared step budget is
-	// consumed atomically so parallel segments observe the same
-	// runaway guard as serial execution.
-	run := func(cpu *m68k.CPU) (m68k.Status, bool) {
+	// advance runs PE i's computation segment to its next device
+	// operation (or halt/park/error) and settles it there. The runaway
+	// guard bounds the CPU's own executed instruction count.
+	advance := func(i int) error {
 		for {
-			st := cpu.Run(sliceSteps)
-			if atomic.AddInt64(&total, sliceSteps) > vm.Cfg.MaxSteps {
-				return st, true
+			st := cpus[i].Run(sliceSteps)
+			if cpus[i].InstrCount > vm.Cfg.MaxSteps {
+				return fmt.Errorf("pasm: MIMD run exceeded %d steps", vm.Cfg.MaxSteps)
 			}
 			if st != m68k.StatusOK {
-				return st, false
+				return settle(i, st)
 			}
 		}
 	}
-	overrun := func() error { return fmt.Errorf("pasm: MIMD run exceeded %d steps", vm.Cfg.MaxSteps) }
 
 	// Advance every PE to its first device operation (devices
-	// disarmed: active == -1 matches no PE). The segments are
-	// independent — PEs share no memory and a disarmed device bus
-	// refuses access before touching any shared network or barrier
-	// state — so they may execute on separate host goroutines. Engine
-	// state is updated serially after the join, in PE index order,
-	// keeping the simulation byte-identical to serial execution.
-	sts := make([]m68k.Status, len(cpus))
-	over := make([]bool, len(cpus))
-	if w := min(vm.Cfg.HostWorkers, len(cpus)); w > 1 {
-		var next int64 = -1
-		var wg sync.WaitGroup
-		for j := 0; j < w; j++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(atomic.AddInt64(&next, 1))
-					if k >= len(cpus) {
-						return
-					}
-					sts[k], over[k] = run(cpus[k])
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, cpu := range cpus {
-			sts[i], over[i] = run(cpu)
-		}
-	}
+	// disarmed: active == -1 matches no PE).
 	for i := range cpus {
-		if over[i] {
-			return overrun()
-		}
-		if err := settle(i, sts[i]); err != nil {
+		if err := advance(i); err != nil {
 			return err
 		}
 	}
@@ -224,11 +187,7 @@ func (vm *VM) runDES(cpus []*m68k.CPU, stopOnJump bool) error {
 		}
 		wake(wakeAny)
 		if st == m68k.StatusOK {
-			st, over := run(cpus[pick])
-			if over {
-				return overrun()
-			}
-			if err := settle(pick, st); err != nil {
+			if err := advance(pick); err != nil {
 				return err
 			}
 		}

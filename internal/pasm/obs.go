@@ -2,9 +2,8 @@
 // Unit queues to the recorder attached via Config.Obs/VM.Obs. All
 // hooks are nil-checked at the publication site, so a detached
 // recorder leaves the hot paths untouched; attached, each simulated
-// unit publishes to its own buffer/registry, which keeps recording
-// lock-free under Config.HostWorkers (each unit is advanced by one
-// host goroutine at a time).
+// unit publishes to its own buffer/registry, and recording is
+// lock-free because a run is advanced by one host goroutine.
 package pasm
 
 import (

@@ -37,12 +37,9 @@ spin:	dbra	d0, spin
 // be nil for a detached run). PE0 multiplies by $0003 (two one-bits:
 // 42 cycles) and spins briefly; PE1 multiplies by $FFFF (70 cycles)
 // and spins ten times longer, so PE0 accumulates real barrier wait.
-func runObsProgram(t *testing.T, rec *obs.Recorder, workers int) (RunResult, *m68k.Program) {
+func runObsProgram(t *testing.T, rec *obs.Recorder) (RunResult, *m68k.Program) {
 	t.Helper()
-	vm := newTestVM(t, 2, func(c *Config) {
-		c.Obs = rec
-		c.HostWorkers = workers
-	})
+	vm := newTestVM(t, 2, func(c *Config) { c.Obs = rec })
 	prog := m68k.MustAssemble(obsTestSrc)
 	data := [][]uint16{{0x0003, 40}, {0xFFFF, 400}}
 	for i, pe := range vm.PEs {
@@ -61,7 +58,7 @@ func runObsProgram(t *testing.T, rec *obs.Recorder, workers int) (RunResult, *m6
 // 2-PE exchange. Regenerate with: go test ./internal/pasm -run Golden -update
 func TestChromeTraceGolden(t *testing.T) {
 	rec := obs.New(obs.Config{Events: obs.AllKinds, Metrics: true})
-	_, prog := runObsProgram(t, rec, 1)
+	_, prog := runObsProgram(t, rec)
 
 	var buf bytes.Buffer
 	if err := obs.WriteChromeTrace(&buf, rec, Disasm(prog, false)); err != nil {
@@ -123,30 +120,10 @@ func TestChromeTraceGolden(t *testing.T) {
 // change any simulated result.
 func TestObsAttachedMatchesDetached(t *testing.T) {
 	rec := obs.New(obs.Config{Events: obs.AllKinds, Metrics: true})
-	attached, _ := runObsProgram(t, rec, 1)
-	detached, _ := runObsProgram(t, nil, 1)
+	attached, _ := runObsProgram(t, rec)
+	detached, _ := runObsProgram(t, nil)
 	if !reflect.DeepEqual(attached, detached) {
 		t.Errorf("attached run %+v != detached run %+v", attached, detached)
-	}
-}
-
-// TestObsDeterministicAcrossHostWorkers: the merged event stream and
-// the aggregated metrics are identical whether the PEs are advanced by
-// one host goroutine or several.
-func TestObsDeterministicAcrossHostWorkers(t *testing.T) {
-	rec1 := obs.New(obs.Config{Events: obs.AllKinds, Metrics: true})
-	res1, _ := runObsProgram(t, rec1, 1)
-	rec4 := obs.New(obs.Config{Events: obs.AllKinds, Metrics: true})
-	res4, _ := runObsProgram(t, rec4, 4)
-
-	if !reflect.DeepEqual(res1, res4) {
-		t.Errorf("results differ across workers: %+v vs %+v", res1, res4)
-	}
-	if !reflect.DeepEqual(rec1.Merged(), rec4.Merged()) {
-		t.Error("merged event streams differ across host worker counts")
-	}
-	if !reflect.DeepEqual(rec1.Metrics().Flatten(""), rec4.Metrics().Flatten("")) {
-		t.Error("aggregated metrics differ across host worker counts")
 	}
 }
 
@@ -154,7 +131,7 @@ func TestObsDeterministicAcrossHostWorkers(t *testing.T) {
 // barrier and network lines between the instruction lines.
 func TestObsListingInterleavesDeviceEvents(t *testing.T) {
 	rec := obs.New(obs.Config{Events: obs.AllKinds, Metrics: true})
-	_, prog := runObsProgram(t, rec, 1)
+	_, prog := runObsProgram(t, rec)
 	var buf bytes.Buffer
 	obs.WriteListing(&buf, rec, Disasm(prog, false))
 	out := buf.String()

@@ -31,9 +31,8 @@ func (tr tier) apply(cfg *pasm.Config) {
 }
 
 // executeWith runs one reduction end to end on the given interpreter
-// tier with a full observability recorder attached. workers > 1
-// advances MIMD-section PEs on parallel host goroutines.
-func executeWith(t *testing.T, spec Spec, v []uint16, tr tier, workers int) (pasm.RunResult, []uint16, *obs.Recorder) {
+// tier with a full observability recorder attached.
+func executeWith(t *testing.T, spec Spec, v []uint16, tr tier) (pasm.RunResult, []uint16, *obs.Recorder) {
 	t.Helper()
 	prog, l, err := Build(spec)
 	if err != nil {
@@ -44,7 +43,6 @@ func executeWith(t *testing.T, spec Spec, v []uint16, tr tier, workers int) (pas
 		cfg.PEMemBytes = need
 	}
 	tr.apply(&cfg)
-	cfg.HostWorkers = workers
 	cfg.Obs = obs.New(obs.Config{Events: obs.AllKinds, Metrics: true})
 	vm, err := pasm.NewVM(cfg, l.P)
 	if err != nil {
@@ -73,9 +71,7 @@ func executeWith(t *testing.T, spec Spec, v []uint16, tr tier, workers int) (pas
 // variant on the dynamic reference and superinstruction tiers and
 // requires identical run results
 // (cycle counts, per-PE clocks, region breakdowns), identical sums,
-// and event-for-event identical observability streams. The super tier
-// runs with parallel host workers so `go test -race` exercises the
-// engine's parallel initial advance.
+// and event-for-event identical observability streams.
 func TestInterpreterTierEquivalenceReduce(t *testing.T) {
 	const n, p = 64, 8
 	v := RandomVector(n, 0xBEEF)
@@ -86,11 +82,7 @@ func TestInterpreterTierEquivalenceReduce(t *testing.T) {
 		var sumsRef []uint16
 		var obsRef *obs.Recorder
 		for _, tr := range allTiers {
-			workers := 1
-			if tr == tierSuper {
-				workers = 4
-			}
-			res, sums, rec := executeWith(t, spec, v, tr, workers)
+			res, sums, rec := executeWith(t, spec, v, tr)
 			for i, s := range sums {
 				if s != want {
 					t.Errorf("%v/%v: PE %d sum = %d, want %d", mode, tr, i, s, want)

@@ -177,7 +177,7 @@ func TestNewBucketsGuards(t *testing.T) {
 }
 
 func TestPushOnClosedQueuePanics(t *testing.T) {
-	q := newSchedQueue(SchedFCFS, DefaultStarveLimit)
+	q := newSchedQueue(SchedFCFS, starveLimit)
 	q.Close()
 	defer func() {
 		if recover() == nil {

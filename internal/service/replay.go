@@ -22,19 +22,19 @@ import (
 // queue is the real schedQueue — so the replayed schedule exercises
 // exactly the ordering logic production runs, while being a pure
 // function of (trace, config): byte-identical on every run, machine,
-// -race setting, and host worker count. That purity is what the
+// -race setting, and cell parallelism. That purity is what the
 // golden regression test and the FCFS-vs-SJF bench lock down.
 //
 // Execute mode additionally runs every distinct spec through the real
 // engine once and stamps each outcome with its report's SHA-256 —
-// byte-identity of results across scheduler modes and HostWorkers
-// settings rides on the simulator's own determinism guarantee.
+// byte-identity of results across scheduler modes and cell
+// parallelism (Options.Parallelism) rides on the simulator's own
+// determinism guarantee.
 
 // ReplayConfig drives Replay.
 type ReplayConfig struct {
-	// Sched and StarveLimit configure the queue under test.
-	Sched       SchedulerMode
-	StarveLimit int
+	// Sched selects the queue policy under test.
+	Sched SchedulerMode
 	// Workers is the virtual worker-pool size. Default 1.
 	Workers int
 	// ClockHz converts predicted cycles to virtual service time.
@@ -108,7 +108,7 @@ func Replay(tr *workload.Trace, cfg ReplayConfig) (*ReplayResult, error) {
 		return nil, err
 	}
 
-	q := newSchedQueue(cfg.Sched, cfg.StarveLimit)
+	q := newSchedQueue(cfg.Sched, starveLimit)
 	type running struct {
 		j        *job
 		startUS  int64

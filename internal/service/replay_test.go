@@ -97,12 +97,12 @@ func TestReplayTwiceIdentical(t *testing.T) {
 	}
 }
 
-// TestReplayExecuteHostWorkersInvariant: in execute mode the outcome
+// TestReplayExecuteParallelismInvariant: in execute mode the outcome
 // log embeds each request's report SHA-256. Replaying with different
-// host parallelism (the engine's cell fan-out) must give byte-
-// identical logs — scheduling is virtual-time, and report bytes are a
+// cell parallelism (Options.Parallelism, the engine's cell fan-out)
+// must give byte-identical logs — scheduling is virtual-time, and report bytes are a
 // pure function of the spec.
-func TestReplayExecuteHostWorkersInvariant(t *testing.T) {
+func TestReplayExecuteParallelismInvariant(t *testing.T) {
 	full := loadGoldenTrace(t)
 	// A slice is plenty: every distinct spec executes for real.
 	sub := &workload.Trace{Header: full.Header, Requests: full.Requests[:12]}

@@ -19,9 +19,9 @@ type SchedulerMode string
 // by SLO class urgency first (smaller SLO target = more urgent,
 // classless best-effort last), then by predicted cost within a class,
 // so a table1 probe never queues behind an n=64 sweep that arrived
-// first. Aged long jobs are promoted after StarveLimit bypasses, with
+// first. Aged long jobs are promoted after starveLimit bypasses, with
 // the symmetric bound that no promotion may push any more-urgent
-// waiter past StarveLimit bypasses of its own — the property test's
+// waiter past starveLimit bypasses of its own — the property test's
 // "no short request waits behind >K long requests" holds by
 // construction.
 const (
@@ -40,10 +40,10 @@ func ParseSchedulerMode(s string) (SchedulerMode, error) {
 	return "", fmt.Errorf("service: unknown scheduler %q (want fcfs or sjf)", s)
 }
 
-// DefaultStarveLimit is how many times a lower-priority job may be
-// bypassed before it is promoted ahead of the urgent classes (and,
+// starveLimit is how many times a lower-priority job may be bypassed
+// before SJF promotes it ahead of the urgent classes (and,
 // symmetrically, how many promotions any urgent job can suffer).
-const DefaultStarveLimit = 8
+const starveLimit = 8
 
 // bestEffortPrio orders classless/SLO-less jobs after every class with
 // a target.
@@ -138,14 +138,13 @@ type schedQueue struct {
 	promoted int64 // aging promotions (metric)
 }
 
-func newSchedQueue(mode SchedulerMode, starveLimit int) *schedQueue {
+// newSchedQueue returns an empty queue; the service and Replay pass
+// starveLimit, the property tests vary limit.
+func newSchedQueue(mode SchedulerMode, limit int) *schedQueue {
 	if mode == "" {
 		mode = SchedFCFS
 	}
-	if starveLimit <= 0 {
-		starveLimit = DefaultStarveLimit
-	}
-	return &schedQueue{mode: mode, starveLimit: starveLimit}
+	return &schedQueue{mode: mode, starveLimit: limit}
 }
 
 // Push appends an arrival. The caller (Submit, under Service.mu) has

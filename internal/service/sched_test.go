@@ -74,7 +74,7 @@ func TestSchedSJFOrdering(t *testing.T) {
 func TestSchedFCFSIsArrivalOrder(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := newSchedQueue(SchedFCFS, 0)
+		q := newSchedQueue(SchedFCFS, starveLimit)
 		jobs := randomJobs(rng, 1+rng.Intn(30))
 		for _, j := range jobs {
 			q.Push(j)
@@ -404,12 +404,16 @@ func TestTryPopFitAgesOnlyFitting(t *testing.T) {
 // TestDispatchAgingBothModes: SJF aging holds on the live dispatcher in
 // both capacity modes. One slot (one worker, or a machine holding one
 // default-size partition) runs job 1 while a best-effort job queues
-// ahead of six urgent ones; with StarveLimit 2 the best-effort job must
-// start after at most two urgent jobs, and both modes start the jobs
+// ahead of starveLimit+2 urgent ones; the best-effort job must start
+// after at most starveLimit urgent jobs, and both modes start the jobs
 // in the same order.
 func TestDispatchAgingBothModes(t *testing.T) {
-	const limit = 2
-	want := []uint32{1, 10, 11, 2, 12, 13, 14, 15}
+	const urgent = starveLimit + 2
+	want := []uint32{1}
+	for seed := uint32(10); seed < 10+starveLimit; seed++ {
+		want = append(want, seed)
+	}
+	want = append(want, 2, 10+starveLimit, 11+starveLimit)
 	for _, partitioned := range []bool{false, true} {
 		name := "pool"
 		if partitioned {
@@ -419,7 +423,7 @@ func TestDispatchAgingBothModes(t *testing.T) {
 			var mu sync.Mutex
 			var order []uint32
 			gate := make(chan struct{})
-			cfg := Config{Workers: 1, QueueDepth: 16, Sched: SchedSJF, StarveLimit: limit,
+			cfg := Config{Workers: 1, QueueDepth: 16, Sched: SchedSJF,
 				run: func(_ context.Context, spec experiments.Spec) ([]byte, error) {
 					mu.Lock()
 					order = append(order, spec.Seed)
@@ -439,7 +443,7 @@ func TestDispatchAgingBothModes(t *testing.T) {
 			if _, err := s.Submit(specN(2), time.Time{}); err != nil {
 				t.Fatal(err)
 			}
-			for seed := uint32(10); seed < 16; seed++ {
+			for seed := uint32(10); seed < 10+urgent; seed++ {
 				if _, err := s.SubmitWith(specN(seed), SubmitOpts{SLOMs: 50}); err != nil {
 					t.Fatal(err)
 				}
@@ -450,8 +454,8 @@ func TestDispatchAgingBothModes(t *testing.T) {
 			if err := s.Shutdown(ctx); err != nil {
 				t.Fatal(err)
 			}
-			if bypassed := slices.Index(order, 2) - 1; bypassed > limit {
-				t.Errorf("best-effort job started after %d urgent jobs (StarveLimit %d); start order %v", bypassed, limit, order)
+			if bypassed := slices.Index(order, 2) - 1; bypassed > starveLimit {
+				t.Errorf("best-effort job started after %d urgent jobs (limit %d); start order %v", bypassed, starveLimit, order)
 			}
 			if !slices.Equal(order, want) {
 				t.Errorf("start order %v, want %v", order, want)

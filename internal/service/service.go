@@ -121,10 +121,6 @@ type Config struct {
 	// SJF (SLO-class priority + shortest-predicted-job-first with
 	// anti-starvation aging; see sched.go).
 	Sched SchedulerMode
-	// StarveLimit bounds SJF reordering: an aged job is promoted after
-	// this many bypasses, and no urgent job is ever bypassed by more
-	// than this many promotions. Default DefaultStarveLimit.
-	StarveLimit int
 	// Classes declares the SLO classes and their default latency
 	// targets in ms (a submit naming a class without an explicit SLO
 	// inherits the declared target). Nil accepts any class name with
@@ -293,7 +289,7 @@ func New(cfg Config) *Service {
 		faults:     cfg.Faults,
 		tracer:     cfg.Telemetry,
 		log:        cfg.Logger,
-		sched:      newSchedQueue(cfg.Sched, cfg.StarveLimit),
+		sched:      newSchedQueue(cfg.Sched, starveLimit),
 		admission:  newBuckets(cfg.AdmitRate, cfg.AdmitBurst, 0),
 		machine:    cfg.Machine,
 		wake:       make(chan struct{}, 1),

@@ -32,8 +32,7 @@ func (tr tier) apply(cfg *pasm.Config) {
 
 // executeWith runs one smoothing configuration end to end on the
 // given interpreter tier with a full observability recorder attached.
-// workers > 1 advances MIMD-section PEs on parallel host goroutines.
-func executeWith(t *testing.T, spec Spec, img Image, tr tier, workers int) (pasm.RunResult, Image, *obs.Recorder) {
+func executeWith(t *testing.T, spec Spec, img Image, tr tier) (pasm.RunResult, Image, *obs.Recorder) {
 	t.Helper()
 	prog, l, err := Build(spec)
 	if err != nil {
@@ -44,7 +43,6 @@ func executeWith(t *testing.T, spec Spec, img Image, tr tier, workers int) (pasm
 		cfg.PEMemBytes = need
 	}
 	tr.apply(&cfg)
-	cfg.HostWorkers = workers
 	cfg.Obs = obs.New(obs.Config{Events: obs.AllKinds, Metrics: true})
 	vm, err := pasm.NewVM(cfg, l.P)
 	if err != nil {
@@ -73,9 +71,7 @@ func executeWith(t *testing.T, spec Spec, img Image, tr tier, workers int) (pasm
 // program variant on the dynamic reference and superinstruction tiers
 // and requires identical
 // run results, identical output images, and event-for-event identical
-// observability streams. The super tier runs with parallel host
-// workers so `go test -race` exercises the engine's parallel initial
-// advance.
+// observability streams.
 func TestInterpreterTierEquivalenceSmoothing(t *testing.T) {
 	const h, w, p = 8, 16, 4
 	img := RandomImage(h, w, 0xFACE)
@@ -86,11 +82,7 @@ func TestInterpreterTierEquivalenceSmoothing(t *testing.T) {
 		var outRef Image
 		var obsRef *obs.Recorder
 		for _, tr := range allTiers {
-			workers := 1
-			if tr == tierSuper {
-				workers = 4
-			}
-			res, out, rec := executeWith(t, spec, img, tr, workers)
+			res, out, rec := executeWith(t, spec, img, tr)
 			if !Equal(out, want) {
 				t.Errorf("%v/%v: output is wrong", mode, tr)
 			}
